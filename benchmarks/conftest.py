@@ -7,15 +7,17 @@ is run once per benchmark round.
 
 The library benchmarks additionally record their throughput (ops/sec) and
 decode-cache hit rates via the ``record_rate`` fixture; at session end the
-collected numbers are written to ``BENCH_interpreter.json`` at the repo
-root, next to the frozen pre-cache seed baseline, so before/after is one
-file diff.
+collected numbers are merged into ``BENCH_interpreter.json`` at the repo
+root (rows this session did not run are kept), next to the frozen
+pre-cache seed baseline, so before/after is one file diff.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+
+from repro.perf.benchfile import merge_bench
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _BENCH_JSON = _REPO_ROOT / "BENCH_interpreter.json"
@@ -108,44 +110,12 @@ def record_rate(request):
 def pytest_sessionfinish(session, exitstatus):
     if not _RESULTS:
         return
-    baseline = {
-        name: dict(values) if values is not None else None
-        for name, values in SEED_BASELINE.items()
-    }
-    speedups = {}
-    for name, entry in _RESULTS.items():
-        baseline.setdefault(name, None)
-        seed = baseline[name]
-        if seed and entry.get("ops_per_sec"):
-            speedups[name] = round(
-                entry["ops_per_sec"] / seed["ops_per_sec"], 2
-            )
-        else:
-            # Explicit null: every result row has a speedup entry, even
-            # when there is no seed to compare against.
-            speedups[name] = None
-    # High-water marks for the regression gate (speedup_gate.py): keep
-    # the best ops/sec ever recorded for each benchmark.
-    best: dict[str, int] = {}
+    previous = None
     if _BENCH_JSON.exists():
         try:
             previous = json.loads(_BENCH_JSON.read_text())
-            best = {
-                name: value
-                for name, value in previous.get("best_ops_per_sec", {}).items()
-                if isinstance(value, (int, float))
-            }
         except (ValueError, OSError):
-            best = {}
-    for name, entry in _RESULTS.items():
-        ops = entry.get("ops_per_sec")
-        if ops:
-            best[name] = max(best.get(name, 0), ops)
-    payload = {
-        "generated_by": "benchmarks/test_library_perf.py",
-        "seed_baseline": baseline,
-        "results": _RESULTS,
-        "speedup_vs_seed": speedups,
-        "best_ops_per_sec": dict(sorted(best.items())),
-    }
+            previous = None
+    # Merge, never replace: a partial run keeps every row it did not run.
+    payload = merge_bench(previous, _RESULTS, SEED_BASELINE)
     _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")

@@ -395,7 +395,7 @@ class CPU:
             else None
         )
         if icache:
-            memory.add_write_observer(self._invalidate_written)
+            memory.add_code_observer(self._invalidate_written)
 
     # ------------------------------------------------------------------
     # Stack helpers
@@ -439,10 +439,18 @@ class CPU:
                     self.icache_stats.hits += 1
                     return op
             self._cursor = None
+        return self._enter_block(rip)
+
+    def _enter_block(self, rip: int):
+        """First op of the valid cached block at ``rip``, or None.
+
+        Entering a block checks its page stamps, points the cursor at its
+        second op, and feeds the trace profiler.
+        """
         block = self._blocks.get(rip)
         if block is None:
             return None
-        # Generation check: the write observer evicts eagerly, but a block
+        # Generation check: the code observer evicts eagerly, but a block
         # can also go stale without an observed store (e.g. this CPU was
         # attached after another mutated the text).  Stamps are the
         # ground truth; the observer is the fast path.
@@ -493,8 +501,10 @@ class CPU:
                 break
         first_page = rip >> PAGE_SHIFT
         last_page = (rip + offset - 1) >> PAGE_SHIFT
+        # Stamping marks the pages as code: from now on stores to them
+        # reach every CPU's code observer (:meth:`_invalidate_written`).
         pages = tuple(
-            (index, mem.page_generation_index(index))
+            (index, mem.stamp_code_page(index))
             for index in range(first_page, last_page + 1)
         )
         block = _Block(rip, ops, pages)
@@ -519,7 +529,9 @@ class CPU:
                     del self._page_blocks[index]
 
     def _invalidate_written(self, addr: int, size: int) -> None:
-        """Write-observer hook: drop blocks decoded from written pages."""
+        """Code-observer hook: drop blocks and traces decoded from
+        written pages.  Memory calls it only for stores to code pages
+        (any CPU's) and for permission changes."""
         tc = self._tracecache
         if tc is not None and (tc.traces or tc.failed):
             tc.invalidate_range(addr >> PAGE_SHIFT, (addr + size - 1) >> PAGE_SHIFT)
@@ -594,25 +606,64 @@ class CPU:
     def run(self, max_instructions: int = 10_000_000) -> int:
         """Run until halt; returns instructions retired in this call.
 
-        This is the only dispatch point for compiled traces: ``step()``
-        keeps strict one-instruction granularity (``run_concurrent``'s
-        quantum interleaving depends on it), while ``run`` may retire a
-        whole superblock per iteration.  A trace entry that returns 0
-        (stale stamps, insufficient fuel) falls through to ``step()`` so
+        Each iteration dispatches, in order: a compiled trace at RIP, a
+        native stub, the next op of the current cached block, or the
+        first op of a valid cached block.  Anything else (an icache miss,
+        a #UD, the icache turned off) goes through :meth:`step`, so both
+        paths retire, charge and count exactly the same.  This is the
+        only dispatch point for compiled traces: ``step()`` keeps strict
+        one-instruction granularity (``run_concurrent``'s quantum
+        interleaving depends on it), while ``run`` may retire a whole
+        superblock per iteration.  A trace entry that returns 0 (stale
+        stamps, insufficient fuel) falls through to the interpreter, so
         forward progress is always made.
         """
         start = self.instructions_retired
+        limit = start + max_instructions
+        regs = self.regs
+        stubs = self.native_stubs
+        stats = self.icache_stats
+        icache = self.icache_enabled
         tc = self._tracecache
+        traces = tc.traces if tc is not None else {}
+        ns = self.instruction_ns
+        advance = self.clock.advance if self.clock is not None and ns else None
         while not self.halted:
-            executed = self.instructions_retired - start
-            if executed >= max_instructions:
+            retired = self.instructions_retired
+            if retired >= limit:
                 raise RuntimeError(
                     f"instruction budget exhausted ({max_instructions})"
                 )
-            if tc is not None and tc.traces:
-                if tc.execute(self.regs.rip, max_instructions - executed):
-                    continue
-            self.step()
+            rip = regs.rip
+            if rip in traces and tc.execute(rip, limit - retired):
+                continue
+            stub = stubs.get(rip)
+            if stub is not None:
+                stub(self)
+            elif icache:
+                op = None
+                cursor = self._cursor
+                if cursor is not None:
+                    block, index = cursor
+                    ops = block.ops
+                    if block.live and index < len(ops) and ops[index][0] == rip:
+                        op = ops[index]
+                        self._cursor = (block, index + 1)
+                        stats.hits += 1
+                    else:
+                        self._cursor = None
+                if op is None:
+                    op = self._enter_block(rip)
+                    if op is None:
+                        self.step()
+                        continue
+                op[1](self, op[2], op[3])
+            else:
+                self.step()
+                continue
+            self.instructions_retired += 1
+            if advance is not None:
+                advance(ns)
         return self.instructions_retired - start
 
     def _charge(self) -> None:

@@ -12,11 +12,27 @@ store that touches it (including the ``cmpxchg`` stores ABOM uses) and on
 permission changes.  The CPU's basic-block decode cache stamps cached
 blocks with the generations of the pages they were decoded from and drops
 a block the moment a stamp goes stale — the software analogue of the
-hardware i-cache coherence §4.4's atomic-patch argument relies on.  Write
+hardware i-cache coherence §4.4's atomic-patch argument relies on.  Code
 observers provide the eager push-side of the same protocol.  The trace
 cache (``repro.arch.tracecache``) rides the identical stamps and
 observers for its compiled superblocks, so one store path keeps every
 tier of cached decoded text coherent.
+
+Two kinds of observer hang off the store path:
+
+* **code observers** — each CPU's icache/trace invalidation hook.  A page
+  gets its *code bit* the first time any CPU decodes instructions from
+  it; stores call the code observers only on pages with that bit, so a
+  push to the stack (which never holds decoded code) costs no callback.
+  Re-flagging a page (:meth:`PagedMemory.map_region`,
+  :meth:`PagedMemory.set_page_flags`) notifies them unconditionally.
+* **write observers** — generic listeners such as the sanitizer's; they
+  see every store.
+
+Page flags are stored as plain ``int`` so the hot paths test module
+constants instead of running ``IntFlag`` operators; :class:`PageFlags`
+stays the type at the API edge (:meth:`PagedMemory.page_flags` returns
+it, callers pass it in).
 """
 
 from __future__ import annotations
@@ -44,6 +60,13 @@ class PageFlags(IntFlag):
     DIRTY = 32
 
 
+# Plain-int copies of the flags for the store/fetch hot paths.
+_PRESENT = int(PageFlags.PRESENT)
+_WRITABLE = int(PageFlags.WRITABLE)
+_EXECUTABLE = int(PageFlags.EXECUTABLE)
+_DIRTY = int(PageFlags.DIRTY)
+
+
 class PageFault(Exception):
     """Raised on access to an unmapped page or a forbidden write."""
 
@@ -54,12 +77,15 @@ class PageFault(Exception):
 
 
 class _Page:
-    __slots__ = ("data", "flags", "generation")
+    __slots__ = ("data", "flags", "generation", "code")
 
-    def __init__(self, flags: PageFlags) -> None:
+    def __init__(self, flags: int) -> None:
         self.data = bytearray(PAGE_SIZE)
-        self.flags = flags
+        self.flags = int(flags)
         self.generation = 0
+        #: Set once any CPU decodes instructions from this page; stores
+        #: to the page then notify the code observers.
+        self.code = False
 
 
 class PagedMemory:
@@ -74,6 +100,7 @@ class PagedMemory:
         self._pages: dict[int, _Page] = {}
         self.wp_enabled = True
         self._write_observers: list[WriteObserver] = []
+        self._code_observers: list[WriteObserver] = []
         self._lock_observers: list[WriteObserver] = []
         #: True while a ``LOCK``-prefixed store (:meth:`compare_exchange`)
         #: is inside :meth:`write`; lets plain write observers skip stores
@@ -94,6 +121,15 @@ class PagedMemory:
     def remove_write_observer(self, observer: WriteObserver) -> None:
         self._write_observers.remove(observer)
 
+    def add_code_observer(self, observer: WriteObserver) -> None:
+        """Call ``observer(addr, size)`` after stores to code pages.
+
+        A code page is one marked by :meth:`stamp_code_page`.  Stores to
+        other pages skip the call; permission changes always notify.
+        This is the decode caches' invalidation hook.
+        """
+        self._code_observers.append(observer)
+
     def add_lock_observer(self, observer: WriteObserver) -> None:
         """Call ``observer(addr, size)`` after every *successful*
         ``LOCK``-prefixed store (:meth:`compare_exchange`).  While the
@@ -108,6 +144,24 @@ class PagedMemory:
         for observer in self._write_observers:
             observer(addr, size)
 
+    def _notify_code(self, addr: int, size: int) -> None:
+        for observer in self._code_observers:
+            observer(addr, size)
+
+    def _notify_reflag(self, addr: int) -> None:
+        """A page's flags changed: every observer hears about it."""
+        self._notify_code(addr, PAGE_SIZE)
+        self._notify(addr, PAGE_SIZE)
+
+    def stamp_code_page(self, index: int) -> int:
+        """Mark page ``index`` as holding decoded code; return its
+        generation (-1 when unmapped).  Called on every block decode."""
+        page = self._pages.get(index)
+        if page is None:
+            return -1
+        page.code = True
+        return page.generation
+
     # ------------------------------------------------------------------
     # Mapping
     # ------------------------------------------------------------------
@@ -115,16 +169,34 @@ class PagedMemory:
         """Map (or re-flag) all pages covering ``[addr, addr + size)``."""
         if size <= 0:
             raise ValueError(f"cannot map region of size {size}")
+        flags = int(flags) | _PRESENT
         first = addr >> PAGE_SHIFT
         last = (addr + size - 1) >> PAGE_SHIFT
         for index in range(first, last + 1):
             page = self._pages.get(index)
             if page is None:
-                self._pages[index] = _Page(flags | PageFlags.PRESENT)
+                self._pages[index] = _Page(flags)
             else:
-                page.flags = flags | PageFlags.PRESENT
+                page.flags = flags
                 page.generation += 1
-                self._notify(index << PAGE_SHIFT, PAGE_SIZE)
+                self._notify_reflag(index << PAGE_SHIFT)
+
+    def restore_pages(
+        self, pages: dict[int, bytes], page_flags: dict[int, int]
+    ) -> None:
+        """Replace the whole address space with checkpointed pages.
+
+        ``pages`` and ``page_flags`` map a page index to its bytes and its
+        flag bits, as :func:`repro.xen.migration.checkpoint_memory`
+        records them.  Restored pages start at generation 0 with the code
+        bit clear, so this is for an address space no CPU has decoded
+        from yet; the first decode marks the code pages again.
+        """
+        self._pages.clear()
+        for index, data in pages.items():
+            page = _Page(page_flags[index])
+            page.data = bytearray(data)
+            self._pages[index] = page
 
     def is_mapped(self, addr: int) -> bool:
         return (addr >> PAGE_SHIFT) in self._pages
@@ -133,15 +205,15 @@ class PagedMemory:
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             raise PageFault(addr, "not mapped")
-        return page.flags
+        return PageFlags(page.flags)
 
     def set_page_flags(self, addr: int, flags: PageFlags) -> None:
         page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             raise PageFault(addr, "not mapped")
-        page.flags = flags | PageFlags.PRESENT
+        page.flags = int(flags) | _PRESENT
         page.generation += 1
-        self._notify(addr & ~_OFFSET_MASK, PAGE_SIZE)
+        self._notify_reflag(addr & ~_OFFSET_MASK)
 
     def page_generation(self, addr: int) -> int:
         """Generation counter of the page containing ``addr``."""
@@ -192,7 +264,7 @@ class PagedMemory:
         remaining = size
         while remaining > 0:
             page = self._pages.get(cursor >> PAGE_SHIFT)
-            if page is None or not page.flags & PageFlags.EXECUTABLE:
+            if page is None or not page.flags & _EXECUTABLE:
                 if cursor == addr:
                     reason = (
                         "instruction fetch from unmapped page"
@@ -216,18 +288,21 @@ class PagedMemory:
             page = self._pages.get(cursor >> PAGE_SHIFT)
             if page is None:
                 raise PageFault(cursor, "write to unmapped page")
-            if self.wp_enabled and not page.flags & PageFlags.WRITABLE:
+            flags = page.flags
+            if self.wp_enabled and not flags & _WRITABLE:
                 raise PageFault(cursor, "write to read-only page")
             offset = cursor & _OFFSET_MASK
             chunk = min(len(remaining), PAGE_SIZE - offset)
             page.data[offset : offset + chunk] = remaining[:chunk]
             page.generation += 1
-            if not page.flags & PageFlags.WRITABLE:
+            if not flags & _WRITABLE:
                 # Supervisor write with WP disabled: hardware still records
                 # the store in the dirty bit (§4.4).
-                page.flags |= PageFlags.DIRTY
+                page.flags = flags | _DIRTY
             # Notify per chunk, not after the loop: a spanning write that
             # faults on a later page must still invalidate what it wrote.
+            if page.code:
+                self._notify_code(cursor, chunk)
             if self._write_observers:
                 self._notify(cursor, chunk)
             cursor += chunk
@@ -238,8 +313,10 @@ class PagedMemory:
         offset = addr & _OFFSET_MASK
         page.data[offset : offset + len(data)] = data
         page.generation += 1
-        if not page.flags & PageFlags.WRITABLE:
-            page.flags |= PageFlags.DIRTY
+        if not page.flags & _WRITABLE:
+            page.flags |= _DIRTY
+        if page.code:
+            self._notify_code(addr, len(data))
         if self._write_observers:
             self._notify(addr, len(data))
 
@@ -255,7 +332,7 @@ class PagedMemory:
         if (
             page is not None
             and (addr & _OFFSET_MASK) <= PAGE_SIZE - 8
-            and (page.flags & PageFlags.WRITABLE or not self.wp_enabled)
+            and (page.flags & _WRITABLE or not self.wp_enabled)
         ):
             self._write_single(addr, page, (value & _MASK64).to_bytes(8, "little"))
             return
@@ -273,7 +350,7 @@ class PagedMemory:
         if (
             page is not None
             and (addr & _OFFSET_MASK) <= PAGE_SIZE - 4
-            and (page.flags & PageFlags.WRITABLE or not self.wp_enabled)
+            and (page.flags & _WRITABLE or not self.wp_enabled)
         ):
             self._write_single(addr, page, (value & _MASK32).to_bytes(4, "little"))
             return
@@ -316,5 +393,5 @@ class PagedMemory:
         return sorted(
             index << PAGE_SHIFT
             for index, page in self._pages.items()
-            if page.flags & PageFlags.DIRTY
+            if page.flags & _DIRTY
         )

@@ -27,7 +27,7 @@ Correctness is guard-based, exactly like a hardware trace cache:
   stamps of all pages the trace was compiled from (the same counters the
   icache stamps blocks with), so NX flips and foreign writes are caught
   at entry;
-* **liveness guards** — the write-observer protocol that evicts icache
+* **liveness guards** — the code-observer protocol that evicts icache
   blocks also flips the trace's ``live`` cell; compiled code re-checks
   it after stores and native-stub calls, so an ABOM §4.4 ``cmpxchg``
   patch landing *mid-trace* (from a trap taken inside the trace, or a
@@ -217,7 +217,7 @@ class TraceCache:
 
     # -- invalidation (the icache's SMC protocol, extended) ------------
     def invalidate_range(self, first_page: int, last_page: int) -> None:
-        """Write-observer hook: evict traces compiled from written pages.
+        """Code-observer hook: evict traces compiled from written pages.
 
         Also clears the failed-head blacklist when the write touched any
         known text page — an ABOM patch can turn an untraceable chain
@@ -617,6 +617,7 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
         em.emit(1, "_pget = _mem._pages.get")
         em.emit(1, "_obs = _mem._write_observers")
         em.emit(1, "_notify = _mem._notify")
+        em.emit(1, "_ncode = _mem._notify_code")
         em.emit(1, "_r64 = _mem.read_u64")
         em.emit(1, "_w64 = _mem.write_u64")
         em.emit(1, "_r32 = _mem.read_u32")
@@ -668,6 +669,8 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
             f"_pg.data[_o:_o + {width}] = ({val_expr}).to_bytes({width}, 'little')",
         )
         em.emit(ind + 1, "_pg.generation += 1")
+        em.emit(ind + 1, "if _pg.code:")
+        em.emit(ind + 2, f"_ncode({addr_var}, {width})")
         em.emit(ind + 1, "if _obs:")
         em.emit(ind + 2, f"_notify({addr_var}, {width})")
         em.emit(ind, "else:")

@@ -35,9 +35,10 @@ Mechanical constraints reproduced from the paper:
 
 Interplay with the interpreter's decode cache: every patch store goes
 through :meth:`PagedMemory.compare_exchange` → :meth:`PagedMemory.write`,
-which bumps the page's generation counter and fires the write observers
-each vCPU registered.  Any cached basic block decoded from the patched
-page — including a block a racing vCPU is executing *right now* — is
+which bumps the page's generation counter and fires the code observers
+each vCPU registered (a patched page holds decoded code, since ABOM
+patches a site when it traps).  Any cached basic block decoded from the
+patched page — including a block a racing vCPU is executing *right now* — is
 dropped before its next instruction, so the very next execution of the
 site decodes the rewritten bytes.  This is the software analogue of the
 hardware i-cache coherence the paper's ≤8-byte ``cmpxchg`` argument

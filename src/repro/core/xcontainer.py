@@ -264,7 +264,6 @@ class XContainer:
         memory pages, fresh vCPU — only the checkpointed bytes carry over
         (including any ABOM patches already applied to the text).
         """
-        from repro.arch.memory import PageFlags, _Page
         from repro.arch.registers import Reg as _Reg
 
         xc = cls(
@@ -274,11 +273,7 @@ class XContainer:
             abom_enabled=abom_enabled,
             name=name or f"{checkpoint.name}-restored",
         )
-        xc.memory._pages.clear()
-        for index, data in checkpoint.pages.items():
-            page = _Page(PageFlags(checkpoint.page_flags[index]))
-            page.data = bytearray(data)
-            xc.memory._pages[index] = page
+        xc.memory.restore_pages(checkpoint.pages, checkpoint.page_flags)
         xc.memory.wp_enabled = checkpoint.wp_enabled
         regs = checkpoint.registers
         for reg in _Reg:

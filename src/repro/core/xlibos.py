@@ -26,11 +26,14 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.arch.cpu import CPU
-from repro.arch.memory import PagedMemory
+from repro.arch.memory import PagedMemory, PageFault
+from repro.arch.registers import MASK64, Reg
 from repro.core.vsyscall import VsyscallPage
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
+_RAX = int(Reg.RAX)
+_RSP = int(Reg.RSP)
 _SYSCALL = b"\x0f\x05"
 _JMP_BACK = b"\xeb\xf7"
 
@@ -104,15 +107,18 @@ class XLibOS:
         On entry the return address pushed by the patched ``call`` is on
         top of the stack.
         """
-        self._charge(self.costs.xc_func_call_syscall_ns)
+        if self.clock is not None:
+            self.clock.advance(self.costs.xc_func_call_syscall_ns)
         if self.tracer is not None:
             self.tracer.emit("syscall", "lightweight", nr=nr)
-        ret_addr = cpu.mem.read_u64(cpu.regs.rsp)
+        regs = cpu.regs
+        gprs = regs._regs
+        ret_addr = cpu.mem.read_u64(gprs[_RSP])
         result = self.services.invoke(nr, cpu)
-        cpu.regs.rax = result
+        gprs[_RAX] = result & MASK64
         ret_addr = self._maybe_skip_dead_instruction(ret_addr)
-        cpu.regs.rsp += 8
-        cpu.regs.rip = ret_addr
+        gprs[_RSP] = (gprs[_RSP] + 8) & MASK64
+        regs.rip = ret_addr
         self.stats.lightweight_syscalls += 1
 
     def forwarded_entry(self, cpu: CPU, syscall_addr: int) -> None:
@@ -130,12 +136,10 @@ class XLibOS:
         original ``syscall``; phase 2 turns it into a ``jmp`` back to the
         call.  Either would re-issue the syscall if returned to.
         """
-        if not (
-            self.memory.is_mapped(ret_addr)
-            and self.memory.is_mapped(ret_addr + 1)
-        ):
+        try:
+            tail = self.memory.read(ret_addr, 2)
+        except PageFault:
             return ret_addr
-        tail = self.memory.read(ret_addr, 2)
         if tail == _SYSCALL or tail == _JMP_BACK:
             self.stats.return_address_skips += 1
             return ret_addr + 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import Assembler, CPU, PagedMemory, Reg
-from repro.arch.cpu import HANDLERS, MAX_BLOCK_INSTRS
+from repro.arch.cpu import HANDLERS, MAX_BLOCK_INSTRS, Trap, TrapKind
 from repro.arch.encoding import ALL_MNEMONICS, BLOCK_TERMINATORS
 from repro.arch.memory import PAGE_SIZE, PageFlags
 
@@ -206,6 +206,138 @@ class TestSelfModifyingCode:
         cpu.flush_icache()
         assert not tc.traces
         assert cpu.trace_stats.code_bytes == 0
+
+
+class TestCodePageInvalidation:
+    """Stores reach a CPU's invalidation hook only on pages some CPU
+    decoded code from (the page's code bit); nothing else changes."""
+
+    def test_store_to_never_decoded_stack_page_skips_the_hook(self, monkeypatch):
+        calls = []
+        original = CPU._invalidate_written
+
+        def spy(self, addr, size):
+            calls.append(addr)
+            original(self, addr, size)
+
+        monkeypatch.setattr(CPU, "_invalidate_written", spy)
+        asm = Assembler(base=BASE)
+        asm.mov_imm32(Reg.RBX, 5)
+        asm.label("loop")
+        asm.push(Reg.RBX)
+        asm.store_rsp64(8, Reg.RBX)
+        asm.pop(Reg.RAX)
+        asm.dec(Reg.RBX)
+        asm.jne("loop")
+        asm.hlt()
+        cpu = fresh_cpu(asm.build(), tracecache=False)
+        cpu.run()
+        assert cpu.regs.rax == 1
+        assert calls == []
+
+    def test_page_decoded_after_earlier_stores_is_invalidated(self):
+        mem = PagedMemory()
+        mem.map_region(
+            BASE, PAGE_SIZE, PageFlags.USER | PageFlags.WRITABLE | PageFlags.EXECUTABLE
+        )
+        asm = Assembler(base=BASE)
+        asm.mov_imm32(Reg.RCX, 1)
+        asm.hlt()
+        mem.write(BASE, asm.build().code)  # plain data stores, no decode yet
+        cpu = CPU(mem)
+        cpu.regs.rip = BASE
+        cpu.run()
+        assert cpu.regs.read64(Reg.RCX) == 1 and BASE in cpu._blocks
+        mem.write(BASE + 1, (99).to_bytes(4, "little"))
+        assert BASE not in cpu._blocks  # evicted by the store itself
+        assert cpu.icache_stats.invalidations == 1
+        cpu.halted = False
+        cpu.regs.rip = BASE
+        cpu.run()
+        assert cpu.regs.read64(Reg.RCX) == 99
+
+    def test_store_by_one_cpu_evicts_block_decoded_by_another(self):
+        mem = PagedMemory()
+        victim = Assembler(base=BASE)
+        victim.mov_imm32(Reg.RCX, 1)
+        victim.hlt()
+        victim.nop(2)
+        victim.build().load(mem, writable_text=True)
+        writer = Assembler(base=BASE + PAGE_SIZE)
+        writer.push(Reg.RAX)
+        writer.hlt()
+        writer.build().load(mem)
+        b = CPU(mem)
+        b.regs.rip = BASE
+        b.run()
+        assert BASE in b._blocks
+        a = CPU(mem)
+        a.regs.rip = BASE + PAGE_SIZE
+        a.regs.rsp = BASE + 8  # A's push lands on B's text
+        a.regs.rax = int.from_bytes(b"\xb9\x63\x00\x00\x00\xf4\x90\x90", "little")
+        a.run()
+        assert BASE not in b._blocks
+        assert b.icache_stats.invalidations == 1
+        b.halted = False
+        b.regs.rip = BASE
+        b.run()
+        assert b.regs.read64(Reg.RCX) == 0x63
+
+    def test_nx_flip_kills_cached_block_and_trace(self):
+        cpu = fresh_cpu(counting_loop(200))
+        cpu.run()
+        tc = cpu._tracecache
+        (trace,) = tc.traces.values()
+        assert cpu._blocks
+        cpu.mem.set_page_flags(BASE, PageFlags.USER)  # EXECUTABLE dropped
+        assert not cpu._blocks
+        assert not tc.traces
+        assert trace.live == [False]
+        cpu.halted = False
+        cpu.regs.rip = trace.head
+        with pytest.raises(Trap) as info:
+            cpu.run()
+        assert info.value.kind is TrapKind.PAGE_FAULT
+
+    def test_push_onto_code_page_inside_trace_bails_via_liveness_guard(self):
+        """The stack grows down from the page above the text: the loop
+        gets hot and compiled while it pushes onto the stack page, then
+        the trace's inline push crosses onto the text page, evicts the
+        trace and leaves through the liveness guard."""
+        asm = Assembler(base=BASE)
+        asm.mov_imm32(Reg.RBX, 200)
+        asm.label("loop")
+        asm.push(Reg.RBX)
+        asm.dec(Reg.RBX)
+        asm.jne("loop")
+        asm.hlt()
+        binary = asm.build()
+
+        def run(icache, stack_slots):
+            mem = PagedMemory()
+            binary.load(mem, writable_text=True)
+            mem.map_region(
+                BASE + PAGE_SIZE, PAGE_SIZE, PageFlags.USER | PageFlags.WRITABLE
+            )
+            cpu = CPU(mem, icache=icache)
+            cpu.regs.rip = binary.entry
+            cpu.regs.rsp = BASE + PAGE_SIZE + stack_slots * 8
+            cpu.run()
+            return cpu
+
+        crossing = run(icache=True, stack_slots=100)
+        control = run(icache=True, stack_slots=300)  # never reaches the text
+        plain = run(icache=False, stack_slots=100)
+        assert _final_state(crossing) == _final_state(plain)
+        stats = crossing.trace_stats
+        assert control.trace_stats.invalidations == 0
+        assert stats.invalidations >= 1
+        # The one compiled run left through a guard with the loop still
+        # going, right after a push: whole 3-instruction iterations plus
+        # the push itself.
+        assert stats.executions == stats.guard_exits == 1
+        assert stats.instructions < control.trace_stats.instructions
+        assert stats.instructions % 3 == 1
 
 
 # ----------------------------------------------------------------------

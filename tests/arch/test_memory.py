@@ -186,6 +186,85 @@ class TestGenerationsAndObservers:
         assert events == [0x1000]
 
 
+class TestCodePages:
+    """The code bit gates code observers: stores to pages no CPU decoded
+    from cost no callback; permission changes always notify."""
+
+    def _watched(self):
+        mem = PagedMemory()
+        mem.map_region(0x1000, 2 * 4096, RW)
+        events = []
+        mem.add_code_observer(lambda addr, size: events.append((addr, size)))
+        return mem, events
+
+    def test_stores_to_unmarked_pages_skip_code_observers(self):
+        mem, events = self._watched()
+        mem.write(0x1000, b"abc")
+        mem.write_u64(0x1100, 7)
+        mem.write_u32(0x1200, 7)
+        assert mem.compare_exchange(0x1300, bytes(2), b"ab")
+        assert events == []
+
+    def test_stamped_page_notifies_every_store_kind(self):
+        mem, events = self._watched()
+        assert mem.stamp_code_page(0x1) == mem.page_generation(0x1000)
+        mem.write(0x1000, b"abc")
+        mem.write_u64(0x1100, 7)
+        mem.write_u32(0x1200, 7)
+        assert mem.compare_exchange(0x1300, bytes(2), b"ab")
+        assert events == [(0x1000, 3), (0x1100, 8), (0x1200, 4), (0x1300, 2)]
+
+    def test_spanning_write_notifies_only_the_code_chunk(self):
+        mem, events = self._watched()
+        mem.stamp_code_page(0x2)
+        mem.write(0x1FFE, b"ABCD")
+        assert events == [(0x2000, 2)]
+
+    def test_reflag_always_notifies(self):
+        mem, events = self._watched()
+        mem.set_page_flags(0x1000, RO)
+        mem.map_region(0x2000, 4096, RW)
+        assert events == [(0x1000, 4096), (0x2000, 4096)]
+
+    def test_write_observers_still_see_every_store(self):
+        mem, code_events = self._watched()
+        events = []
+        mem.add_write_observer(lambda addr, size: events.append(addr))
+        mem.write_u64(0x1100, 7)
+        assert events == [0x1100] and code_events == []
+
+    def test_stamp_of_unmapped_page(self):
+        assert PagedMemory().stamp_code_page(5) == -1
+
+
+class TestPlainIntFlags:
+    def test_flags_are_stored_as_int_and_returned_as_pageflags(self):
+        mem = PagedMemory()
+        mem.map_region(0x1000, 4096, RW)
+        mem.set_page_flags(0x1000, RO)
+        assert type(mem._pages[1].flags) is int
+        flags = mem.page_flags(0x1000)
+        assert isinstance(flags, PageFlags)
+        assert flags == RO | PageFlags.PRESENT
+
+    def test_restore_pages_keeps_flags_and_clears_code_bit(self):
+        mem = PagedMemory()
+        mem.map_region(0x1000, 4096, RO | PageFlags.EXECUTABLE)
+        mem.stamp_code_page(0x1)
+        mem.wp_enabled = False
+        mem.write(0x1000, b"patched")
+        mem.wp_enabled = True
+        restored = PagedMemory()
+        restored.restore_pages(
+            {1: bytes(mem._pages[1].data)}, {1: int(mem.page_flags(0x1000))}
+        )
+        assert restored.page_flags(0x1000) == mem.page_flags(0x1000)
+        assert restored.page_flags(0x1000) & PageFlags.DIRTY
+        assert restored.read(0x1000, 7) == b"patched"
+        assert not restored._pages[1].code
+        assert restored.page_generation(0x1000) == 0
+
+
 class TestScalarFastPathEdges:
     """The single-page fast paths must agree with the generic loop."""
 

@@ -88,6 +88,49 @@ class TestXContainerCheckpointRestore:
         assert restored.cpu.halted
 
 
+class TestCheckpointRoundTrip:
+    """checkpoint → restore keeps page flags, clears the code bit, and the
+    restored container runs byte-identically to the original."""
+
+    def test_flags_survive_and_resume_is_byte_identical(self):
+        binary = TestXContainerCheckpointRestore()._counting_program(60)
+        original = XContainer(CountingServices(results={39: 5}), name="orig")
+        original.load(binary)
+        original.cpu.regs.rip = binary.entry
+        original.step(count=40)  # the site is patched: its page is DIRTY
+        ckpt = original.checkpoint("mid")
+        restored = XContainer.restore(ckpt, CountingServices(results={39: 5}))
+
+        text = binary.entry
+        stack = original.cpu.regs.rsp
+        for addr in (text, stack):
+            assert restored.memory.page_flags(addr) == original.memory.page_flags(addr)
+        assert original.memory.page_flags(text) & PageFlags.DIRTY
+        assert not original.memory.page_flags(text) & PageFlags.WRITABLE
+        assert restored.memory.page_flags(stack) & PageFlags.WRITABLE
+        assert original.memory._pages[text >> 12].code
+        assert not any(page.code for page in restored.memory._pages.values())
+
+        before = original.cpu.instructions_retired
+        ran = original.resume()
+        again = restored.resume()
+        assert again.instructions == ran.instructions == (
+            original.cpu.instructions_retired - before
+        )
+        # The clocks started at different times, so only the float
+        # rounding of the two sums may differ.
+        assert again.elapsed_ns == pytest.approx(ran.elapsed_ns, rel=1e-12)
+        assert restored.cpu.regs.snapshot() == original.cpu.regs.snapshot()
+        assert restored.libos.services.calls == original.libos.services.calls[-len(
+            restored.libos.services.calls
+        ):]
+        assert {
+            index: bytes(page.data) for index, page in restored.memory._pages.items()
+        } == {index: bytes(page.data) for index, page in original.memory._pages.items()}
+        # Code decoded after the restore marked the text page again.
+        assert restored.memory._pages[text >> 12].code
+
+
 class TestLiveMigration:
     def test_idle_guest_converges_in_one_round(self):
         migration = LiveMigration(
