@@ -25,7 +25,7 @@ from repro.analysis.sites import DiscoveredSite, discover_binary_sites
 from repro.arch.binary import Binary
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
-from repro.perf.trace import Tracer
+from repro.obs import Tracer
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ class TraceCache:
         self.failed: set[int] = set()
         #: page index -> head rips of traces compiled from that page.
         self.page_traces: dict[int, set[int]] = {}
-        #: optional :class:`repro.perf.trace.Tracer` for compile spans.
+        #: optional :class:`repro.obs.Tracer` for compile spans.
         self.tracer = None
 
     # -- profiling -----------------------------------------------------

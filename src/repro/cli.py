@@ -55,6 +55,14 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an int >= 0 (anything else is a usage error)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return value
+
+
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import experiment_ids, run_experiment
 
@@ -546,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="HTTP requests the demo workload issues",
     )
     trace.add_argument(
-        "--limit", type=int, default=64,
-        help="max spans in the table rendering",
+        "--limit", type=_non_negative_int, default=64,
+        help="how many of the newest spans the table shows",
     )
     trace.add_argument(
         "--pretty", action="store_true",

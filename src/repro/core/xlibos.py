@@ -91,7 +91,7 @@ class XLibOS:
         self.stats = LibOsStats()
         self.vsyscall = VsyscallPage(memory)
         self.vsyscall.install()
-        #: Optional :class:`repro.perf.trace.Tracer`.
+        #: Optional :class:`repro.obs.Tracer`.
         self.tracer = None
 
     def attach(self, cpu: CPU) -> None:

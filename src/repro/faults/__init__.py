@@ -15,8 +15,8 @@ repository *tests* that claim instead of asserting it.  It provides:
 * :mod:`~repro.faults.registry` — the decorator-based scenario registry
   (:func:`~repro.faults.registry.scenario`,
   :func:`~repro.faults.registry.register`,
-  :func:`~repro.faults.registry.get_scenario`) that replaced the old
-  module-level ``SCENARIOS`` dict (kept as a deprecation shim);
+  :func:`~repro.faults.registry.get_scenario`), the one catalog lookup
+  surface;
 * :mod:`~repro.faults.report` — the ``repro chaos`` run report.
 
 Only the light pieces are imported eagerly (substrates import site names

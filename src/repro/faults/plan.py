@@ -16,11 +16,14 @@ counter and the simulated clock.  Same seed + same plan + same workload
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING
 
 from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.perf.rand import DeterministicRng
+
+if TYPE_CHECKING:
+    from repro.obs.tracing import Tracer
 
 # ---------------------------------------------------------------------------
 # Triggers
@@ -133,7 +136,7 @@ class FaultPlan:
     def compile(
         self,
         clock: SimClock | None = None,
-        tracer: Any = None,
+        tracer: Tracer | None = None,
     ) -> "FaultEngine":
         """Build the engine the substrates fire into."""
         return FaultEngine(self, clock=clock, tracer=tracer)
@@ -219,7 +222,7 @@ class FaultEngine:
     Substrates call :meth:`fire` on every occurrence of a site; retry
     policies and recovery paths report back through :meth:`record_retry`,
     :meth:`record_recovered`, and :meth:`record_fatal`.  All four emit
-    into an attached :class:`repro.perf.trace.Tracer` under the ``fault``
+    into an attached :class:`repro.obs.Tracer` under the ``fault``
     category.
     """
 
@@ -227,11 +230,11 @@ class FaultEngine:
         self,
         plan: FaultPlan,
         clock: SimClock | None = None,
-        tracer: Any = None,
+        tracer: Tracer | None = None,
     ) -> None:
         self.plan = plan
         self.clock = clock
-        #: Optional :class:`repro.perf.trace.Tracer`; events carry the
+        #: Optional :class:`repro.obs.Tracer`; events carry the
         #: ``fault`` category with names injected/retried/recovered/fatal.
         self.tracer = tracer
         self._root = DeterministicRng(plan.seed)

@@ -1,10 +1,7 @@
 """The decorator-based scenario registry (the canonical Scenario API).
 
-PR 3 shipped the chaos catalog as a hand-maintained ``SCENARIOS`` dict in
-:mod:`repro.faults.scenarios`; every new scenario meant editing a
-module-level literal, and nothing stopped a body from registering under
-one name and rendering under another.  This module replaces that with a
-decorator registry:
+Every chaos scenario, the shipped catalog in :mod:`repro.faults.
+scenarios` included, is registered here once and looked up by name:
 
 * :func:`scenario` — declare a scenario by decorating its body::
 
@@ -26,12 +23,6 @@ Ordering contract: the catalog keeps **registration order** (the chaos
 report's row order is part of the byte-identical-replay bar), while the
 unknown-name error and ``repro chaos --list`` sort names so messages are
 deterministic regardless of registration order.
-
-The old surface — ``scenarios.SCENARIOS`` / ``scenarios.get`` /
-``scenarios.names`` — survives as deprecation shims that resolve through
-this registry (the ``wire.*_LEGACY`` pattern: shims that *cannot* drift
-because they are views over the new source of truth).  Migration table in
-``docs/stateful_fuzzing.md``.
 """
 
 from __future__ import annotations

@@ -17,8 +17,6 @@ whole run replays byte-identically from ``repro chaos --seed S``.
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Iterator, Mapping
 from typing import Any
 
 from repro.faults import sites
@@ -443,7 +441,7 @@ def _plan_abom_contention(seed: int | str) -> FaultPlan:
 def _run_abom_contention(ctx: ScenarioContext) -> dict:
     from repro.arch import Assembler, Reg
     from repro.core import CountingServices, XContainer
-    from repro.perf.trace import Tracer
+    from repro.obs import Tracer
 
     xc = XContainer(
         CountingServices(results={}), clock=ctx.clock, faults=ctx.engine,
@@ -787,68 +785,3 @@ def _register_catalog() -> None:
 
 
 _register_catalog()
-
-
-# ---------------------------------------------------------------------------
-# Deprecated module-level catalog API (pre-registry).  New call sites use
-# repro.faults.registry; these shims keep old code working unchanged.
-# ---------------------------------------------------------------------------
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.faults.scenarios.{old} is deprecated; use "
-        f"repro.faults.registry.{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class _DeprecatedCatalog(Mapping[str, Scenario]):
-    """Read-only view of the registry, kept for ``SCENARIOS[...]`` users.
-
-    Emits a :class:`DeprecationWarning` per access; iteration order is
-    registration order, exactly like the old dict literal.
-    """
-
-    def __getitem__(self, name: str) -> Scenario:
-        _warn_deprecated("SCENARIOS[...]", "get_scenario(name)")
-        from repro.faults.registry import get_scenario
-
-        return get_scenario(name)
-
-    def __iter__(self) -> Iterator[str]:
-        _warn_deprecated("SCENARIOS", "scenario_names()")
-        from repro.faults.registry import scenario_names
-
-        return iter(scenario_names())
-
-    def __len__(self) -> int:
-        from repro.faults.registry import scenario_names
-
-        return len(scenario_names())
-
-    def __repr__(self) -> str:
-        from repro.faults.registry import scenario_names
-
-        return f"<deprecated scenario catalog: {', '.join(scenario_names())}>"
-
-
-#: Deprecated — use :func:`repro.faults.registry.list_scenarios`.
-SCENARIOS: Mapping[str, Scenario] = _DeprecatedCatalog()
-
-
-def names() -> list[str]:
-    """Deprecated — use :func:`repro.faults.registry.scenario_names`."""
-    _warn_deprecated("names()", "scenario_names()")
-    from repro.faults.registry import scenario_names
-
-    return list(scenario_names())
-
-
-def get(name: str) -> Scenario:
-    """Deprecated — use :func:`repro.faults.registry.get_scenario`."""
-    _warn_deprecated("get()", "get_scenario(name)")
-    from repro.faults.registry import get_scenario
-
-    return get_scenario(name)

@@ -8,13 +8,15 @@ debugging tools keep working", applied to ourselves):
   via child registries;
 * :class:`Telemetry` — the facade ``XContainer.telemetry()`` returns;
 * :class:`SpanRecorder` / ``registry.span(...)`` — span tracing over the
-  simulated clock, layered on :class:`repro.perf.trace.Tracer`;
+  simulated clock;
+* :class:`Tracer` / :class:`TraceEvent` — the flat ring of instant
+  events (syscall, ABOM, trace-compile and fault lifecycle) that
+  ``XContainer.attach_tracer`` wires in;
 * :func:`prometheus_text`, :func:`chrome_trace_json`,
   :func:`render_table` — deterministic exporters (``repro metrics``,
   ``repro trace``).
 
-See ``docs/telemetry.md`` for the naming convention and the migration
-table from the legacy per-subsystem accessors.
+See ``docs/telemetry.md`` for the naming convention.
 """
 
 from repro.obs.exporters import (
@@ -30,7 +32,7 @@ from repro.obs.registry import (
     Histogram,
     Registry,
 )
-from repro.obs.tracing import Span, SpanRecorder
+from repro.obs.tracing import Span, SpanRecorder, TraceEvent, Tracer
 
 __all__ = [
     "Counter",
@@ -41,6 +43,8 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Telemetry",
+    "TraceEvent",
+    "Tracer",
     "chrome_trace_json",
     "prometheus_text",
     "render_table",

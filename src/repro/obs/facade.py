@@ -24,15 +24,12 @@ class Telemetry:
     def __init__(
         self,
         clock: SimClock | None = None,
-        tracer: Any = None,
         span_capacity: int = 65536,
         **labels: object,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.registry = Registry(**labels)
-        self.spans = SpanRecorder(
-            self.clock, tracer=tracer, capacity=span_capacity
-        )
+        self.spans = SpanRecorder(self.clock, capacity=span_capacity)
         self.registry.spans = self.spans
 
     # -- scoping / spans ----------------------------------------------
@@ -42,10 +39,6 @@ class Telemetry:
 
     def span(self, name: str, **labels: object) -> Any:
         return self.registry.span(name, **labels)
-
-    def attach_tracer(self, tracer: Any) -> None:
-        """Route span begin/end events into a flat Tracer as well."""
-        self.spans.tracer = tracer
 
     # -- instruments (delegation for the common cases) ----------------
     def counter(self, name: str, help: str = "", **labels: object) -> Any:

@@ -4,15 +4,13 @@ One function per substrate, each registering *bound* instruments that
 read the substrate's existing stats struct lazily at collection time —
 the hot paths keep their plain attribute increments, so wiring telemetry
 cannot change simulated bytes or costs.  Everything here is duck-typed:
-this module imports no substrate code, substrates call in through their
-``bind_telemetry(registry)`` methods (or the :class:`~repro.core.
-xcontainer.XContainer` constructor does it for them).
+this module imports no substrate code.  Substrates call in through
+their ``bind_telemetry(registry)`` methods, and
+``XContainer.telemetry()`` wires its vCPUs, X-Kernel, ABOM, LibOS,
+fault engine and attached split drivers on first use.
 
 The metric names below are the single source of truth for the
-``layer_component_unit`` convention documented in ``docs/telemetry.md``;
-the legacy-accessor shims (``XContainer.icache_stats()`` et al.) resolve
-their dict keys through the ``*_LEGACY`` tables so old and new surfaces
-can never drift apart.
+``layer_component_unit`` convention documented in ``docs/telemetry.md``.
 """
 
 from __future__ import annotations
@@ -21,9 +19,9 @@ from typing import Any
 
 from repro.obs.registry import Registry
 
-# -- legacy-accessor key maps (old dict key -> metric name) -----------------
+# -- split-driver stats field -> metric name (the ring binding tables) ------
 
-NET_RING_LEGACY: dict[str, str] = {
+NET_RING_FIELDS: dict[str, str] = {
     "requests": "xen_ring_requests_total",
     "responses": "xen_ring_responses_total",
     "bytes_moved": "xen_ring_bytes_moved_total",
@@ -36,7 +34,7 @@ NET_RING_LEGACY: dict[str, str] = {
     "kicks_saved": "xen_ring_kicks_saved_total",
 }
 
-BLK_RING_LEGACY: dict[str, str] = {
+BLK_RING_FIELDS: dict[str, str] = {
     "reads": "xen_ring_reads_total",
     "writes": "xen_ring_writes_total",
     "bytes_moved": "xen_ring_bytes_moved_total",
@@ -47,13 +45,6 @@ BLK_RING_LEGACY: dict[str, str] = {
     "avg_batch_size": "xen_ring_avg_batch_size",
     "kicks_saved": "xen_ring_kicks_saved_total",
 }
-
-ICACHE_LEGACY: dict[str, str] = {
-    "hits": "arch_icache_hits_total",
-    "misses": "arch_icache_misses_total",
-    "invalidations": "arch_icache_invalidations_total",
-}
-
 
 # -- arch -------------------------------------------------------------------
 
@@ -219,12 +210,12 @@ def wire_libos(registry: Registry, libos: Any) -> None:
 
 
 def wire_ring_driver(registry: Registry, name: str, driver: Any) -> None:
-    """Either split-driver flavour; fields resolved via the legacy maps."""
+    """Either split-driver flavour; fields resolved via the field maps."""
     stats = driver.stats
-    legacy = (
-        BLK_RING_LEGACY if hasattr(stats, "reads") else NET_RING_LEGACY
+    fields = (
+        BLK_RING_FIELDS if hasattr(stats, "reads") else NET_RING_FIELDS
     )
-    for field, metric in legacy.items():
+    for field, metric in fields.items():
         kind = "gauge" if metric == "xen_ring_avg_batch_size" else "counter"
         registry.bind(
             metric,

@@ -11,7 +11,6 @@ from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel, MachineSpec
 from repro.perf.rand import DeterministicRng
 from repro.perf.stats import RunStats, percentile, summarize
-from repro.perf.trace import TraceEvent, Tracer
 
 __all__ = [
     "SimClock",
@@ -21,6 +20,4 @@ __all__ = [
     "RunStats",
     "percentile",
     "summarize",
-    "TraceEvent",
-    "Tracer",
 ]

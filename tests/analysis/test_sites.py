@@ -11,7 +11,7 @@ from repro.arch import Assembler, Reg
 from repro.arch.binary import SitePattern
 from repro.core import CountingServices, XContainer
 from repro.core.vsyscall import dynamic_slot_addr, slot_addr
-from repro.perf.trace import Tracer
+from repro.obs import Tracer
 
 
 def discover(binary):

@@ -156,9 +156,9 @@ class TestEngine:
         assert other.specs == base.specs and other.seed == 2
 
     def test_fault_events_reach_tracer(self):
-        clock = SimClock()
-        from repro.perf.trace import Tracer
+        from repro.obs import Tracer
 
+        clock = SimClock()
         tracer = Tracer(clock)
         engine = plan(
             FaultSpec(sites.EVENT_NOTIFY, "drop", Nth(1))

@@ -1,16 +1,14 @@
-"""Legacy-accessor shims: exact dict shapes, DeprecationWarning, parity.
+"""``XContainer.telemetry()``: the one stats surface over every substrate.
 
-The redesigned surface is ``XContainer.telemetry()``; the old accessors
-must keep returning byte-for-byte what they always did (resolved through
-the registry, so the two surfaces cannot drift) while warning.
+Each bound metric must read exactly what its substrate struct holds, and
+one snapshot must carry every layer's counters.
 """
-
-import warnings
 
 import pytest
 
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
+from repro.obs import wire
 from repro.workloads.unixbench import build_syscall_bench
 from repro.xen.blkdev import BlockStore, SplitBlockDriver
 from repro.xen.drivers import SplitNetDriver
@@ -28,48 +26,25 @@ def make_net_driver():
     )
 
 
-def run_workload(**kwargs):
-    xc = XContainer(CountingServices(), **kwargs)
-    xc.run(build_syscall_bench(10))
-    return xc
+class TestContainerTelemetry:
+    def test_icache_metrics_match_the_cpu_struct(self):
+        xc = XContainer(CountingServices())
+        xc.run(build_syscall_bench(10))
+        tel = xc.telemetry()
+        stats = xc.cpu.icache_stats
+        assert stats.hits > 0 and stats.invalidations > 0
+        assert tel.value("arch_icache_hits_total") == stats.hits
+        assert tel.value("arch_icache_misses_total") == stats.misses
+        assert tel.value("arch_icache_invalidations_total") == (
+            stats.invalidations
+        )
 
-
-class TestIcacheShim:
-    def test_emits_deprecation_warning(self):
-        xc = run_workload()
-        with pytest.warns(DeprecationWarning, match="icache_stats"):
-            xc.icache_stats()
-
-    def test_exact_legacy_shape_via_registry(self):
-        xc = run_workload()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = xc.icache_stats()
-        direct = xc.xkernel._icache_summary()
-        assert shimmed == direct
-        assert set(shimmed) == {
-            "hits", "misses", "invalidations", "hit_rate"
-        }
-        assert isinstance(shimmed["hits"], int)
-
-    def test_telemetry_disabled_falls_back_to_structs(self):
-        xc = run_workload(telemetry=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert xc.icache_stats() == xc.xkernel._icache_summary()
-        with pytest.raises(RuntimeError):
+    def test_telemetry_disabled_raises(self):
+        xc = XContainer(CountingServices(), telemetry=False)
+        with pytest.raises(RuntimeError, match="telemetry disabled"):
             xc.telemetry()
 
-    def test_xkernel_summary_shim_warns_and_matches(self):
-        xc = run_workload()
-        with pytest.warns(DeprecationWarning, match="icache_summary"):
-            assert xc.xkernel.icache_summary() == (
-                xc.xkernel._icache_summary()
-            )
-
-
-class TestIoStatsShim:
-    def make_container(self):
+    def test_ring_metrics_match_every_driver_field(self):
         xc = XContainer(CountingServices())
         net = make_net_driver()
         net.transmit_batch([100, 200, 300])
@@ -79,25 +54,15 @@ class TestIoStatsShim:
         blk.write(0, b"s" * 512)
         blk.read(0)
         xc.attach_io_driver("xvda", blk)
-        return xc, net, blk
-
-    def test_emits_deprecation_warning(self):
-        xc, _, _ = self.make_container()
-        with pytest.warns(DeprecationWarning, match="io_stats"):
-            xc.io_stats()
-
-    def test_exact_legacy_shapes_via_registry(self):
-        xc, net, blk = self.make_container()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = xc.io_stats()
-        assert shimmed == {
-            "eth0": net.stats.as_dict(),
-            "xvda": blk.stats.as_dict(),
-        }
-        # counters stay ints; the ratio stays a float
-        assert isinstance(shimmed["eth0"]["requests"], int)
-        assert isinstance(shimmed["eth0"]["avg_batch_size"], float)
+        tel = xc.telemetry()
+        for name, driver, fields in (
+            ("eth0", net, wire.NET_RING_FIELDS),
+            ("xvda", blk, wire.BLK_RING_FIELDS),
+        ):
+            stats = driver.stats.as_dict()
+            assert set(fields) == set(stats)
+            for field, metric in fields.items():
+                assert tel.value(metric, driver=name) == stats[field], field
 
     def test_driver_attached_after_telemetry_is_wired(self):
         xc = XContainer(CountingServices())

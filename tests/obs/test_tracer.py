@@ -1,9 +1,14 @@
+"""The flat instant-event ring: recording, bounds, rendering, and what
+``XContainer.attach_tracer`` routes into it."""
+
+import warnings
+
 import pytest
 
 from repro.arch import Assembler, Reg
 from repro.core import CountingServices, XContainer
+from repro.obs import TraceEvent, Tracer
 from repro.perf.clock import SimClock
-from repro.perf.trace import TraceEvent, Tracer
 
 
 class TestTracer:
@@ -32,8 +37,6 @@ class TestTracer:
         with pytest.warns(RuntimeWarning, match="ring overflowed"):
             tracer.emit("c", "e2")
         # Further overflow is counted but does not warn again.
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tracer.emit("c", "e3")
@@ -50,50 +53,6 @@ class TestTracer:
         with pytest.warns(RuntimeWarning):
             tracer.emit("c", "e1")
 
-    def test_raising_capacity_rearms_the_overflow_warning(self):
-        """Regression: growing the ring used to leave the warn-once flag
-        set, so the next overflow episode dropped events silently."""
-        tracer = Tracer(SimClock(), capacity=2)
-        tracer.emit("c", "e0")
-        tracer.emit("c", "e1")
-        with pytest.warns(RuntimeWarning, match="ring overflowed"):
-            tracer.emit("c", "e2")
-        tracer.capacity = 3
-        assert tracer.capacity == 3
-        # Existing events survive the rebuild ...
-        assert [e.name for e in tracer.events()] == ["e1", "e2"]
-        tracer.emit("c", "e3")
-        # ... and the next overflow warns again.
-        with pytest.warns(RuntimeWarning, match="ring overflowed"):
-            tracer.emit("c", "e4")
-
-    def test_shrinking_capacity_keeps_newest_without_rearming(self):
-        import warnings
-
-        tracer = Tracer(SimClock(), capacity=3)
-        for index in range(4):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                tracer.emit("c", f"e{index}")
-        tracer.capacity = 2
-        assert [e.name for e in tracer.events()] == ["e2", "e3"]
-        # Shrinking adds no headroom: the episode is still in progress,
-        # so the warning stays disarmed.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tracer.emit("c", "e4")
-
-    def test_capacity_setter_rejects_bad_values(self):
-        tracer = Tracer(SimClock())
-        with pytest.raises(ValueError):
-            tracer.capacity = 0
-
-    def test_disabled_tracer_is_silent(self):
-        tracer = Tracer(SimClock())
-        tracer.enabled = False
-        tracer.emit("c", "e")
-        assert tracer.count() == 0
-
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Tracer(SimClock(), capacity=0)
@@ -102,20 +61,22 @@ class TestTracer:
         event = TraceEvent(1000.0, "abom", "patch", {"site": 0x400005})
         assert "0x400005" in event.render()
 
-    def test_span(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        tracer.emit("c", "start")
-        clock.advance(500.0)
-        tracer.emit("c", "end")
-        assert tracer.span_ns("c") == 500.0
-        assert tracer.span_ns("other") == 0.0
-
     def test_clear(self):
         tracer = Tracer(SimClock())
         tracer.emit("c", "e")
         tracer.clear()
         assert tracer.count() == 0
+
+    def test_render_limit_keeps_newest(self):
+        tracer = Tracer(SimClock())
+        for index in range(3):
+            tracer.emit("c", f"e{index}")
+        assert [line.split()[-1] for line in
+                tracer.render(2).splitlines()] == ["e1", "e2"]
+        assert len(tracer.render(10).splitlines()) == 3
+        assert tracer.render(0) == ""
+        with pytest.raises(ValueError):
+            tracer.render(-1)
 
 
 class TestContainerTracing:

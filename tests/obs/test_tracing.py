@@ -1,10 +1,9 @@
-"""Span recording: nesting, determinism, bounds, Tracer integration."""
+"""Span recording: nesting, determinism, bounds, rendering."""
 
 import pytest
 
 from repro.obs.tracing import SpanRecorder
 from repro.perf.clock import SimClock
-from repro.perf.trace import Tracer
 
 
 class TestSpans:
@@ -79,18 +78,7 @@ class TestBounds:
         assert recorder.finished == [] and recorder.dropped == 0
 
 
-class TestTracerIntegration:
-    def test_begin_end_emitted_into_flat_tracer(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        recorder = SpanRecorder(clock, tracer=tracer)
-        with recorder.span("netfront.tx"):
-            clock.advance(100)
-        names = [e.name for e in tracer.events("span")]
-        assert names == ["netfront.tx.begin", "netfront.tx.end"]
-        end = tracer.events("span", "netfront.tx.end")[0]
-        assert end.detail["dur_ns"] == 100.0
-
+class TestRender:
     def test_render_is_fixed_width(self):
         clock = SimClock()
         recorder = SpanRecorder(clock)
@@ -99,3 +87,15 @@ class TestTracerIntegration:
         out = recorder.render()
         assert "s k=v" in out
         assert "1.500" in out  # duration in microseconds
+
+    def test_render_limit_keeps_header_and_newest_spans(self):
+        recorder = SpanRecorder(SimClock())
+        for name in ("a", "b", "c"):
+            with recorder.span(name):
+                pass
+        rows = recorder.render(2).splitlines()
+        assert rows[0].split()[0] == "id"
+        assert [row.split()[-1] for row in rows[1:]] == ["b", "c"]
+        assert recorder.render(0).splitlines() == rows[:1]
+        with pytest.raises(ValueError):
+            recorder.render(-1)

@@ -1,8 +1,23 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: CLI JSON outputs captured as compact JSON; :func:`golden` expands them
+#: with the CLI's own ``indent=2, sort_keys=True`` layout, so comparisons
+#: stay byte-for-byte.  Regenerate after an intentional change with
+#: ``PYTHONPATH=src python -m repro chaos --seed 0 --format json | python
+#: -c "import json,sys; print(json.dumps(json.load(sys.stdin),
+#: separators=(',', ':'), sort_keys=True))" > tests/golden/chaos_seed0.json``
+#: (likewise ``analyze --format json`` into ``analyze.json``).
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name):
+    data = json.loads((GOLDEN / name).read_text())
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 class TestCli:
@@ -249,6 +264,22 @@ class TestSharedOutputSurface:
             assert args.output is None
 
 
+class TestGoldenOutputs:
+    """The two reports whose checks read flat ``Tracer`` events: the
+    abom-contention fault-event check (chaos) and the online-vs-offline
+    ABOM differential (analyze)."""
+
+    def test_chaos_seed0_json_is_byte_identical(self, capsys):
+        assert main(["chaos", "--seed", "0", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == golden("chaos_seed0.json")
+
+    def test_analyze_json_is_byte_identical(self, capsys):
+        assert main(["analyze", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == golden("analyze.json")
+
+
 class TestMetricsCommand:
     def test_table_lists_unified_metrics(self, capsys):
         assert main(["metrics"]) == 0
@@ -298,6 +329,17 @@ class TestTraceCommand:
         assert main(["trace", "--limit", "2"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 3  # header + 2 spans
+
+    def test_limit_zero_prints_only_the_header(self, capsys):
+        assert main(["trace", "--limit", "0"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].split()[0] == "id"
+
+    def test_negative_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--limit", "-2"])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
 
 
 class TestServeCommand:

@@ -352,13 +352,20 @@ class TestXContainerIoStats:
         blk = SplitBlockDriver(BlockStore(64))
         blk.write(0, b"s" * 512)
         xc.attach_io_driver("xvda", blk)
-        stats = xc.io_stats()
-        assert stats["eth0"]["batches"] == 1
-        assert stats["eth0"]["kicks_saved"] == 1
-        assert stats["xvda"]["batches"] == 1
-        assert set(stats) == {"eth0", "xvda"}
+        tel = xc.telemetry()
+        assert tel.value("xen_ring_batches_total", driver="eth0") == 1
+        assert tel.value("xen_ring_kicks_saved_total", driver="eth0") == 1
+        assert tel.value("xen_ring_batches_total", driver="xvda") == 1
+        counters = tel.snapshot()["counters"]
+        assert {
+            key for key in counters
+            if key.startswith("xen_ring_batches_total{")
+        } == {
+            "xen_ring_batches_total{domain=xc0,driver=eth0}",
+            "xen_ring_batches_total{domain=xc0,driver=xvda}",
+        }
         # Lives alongside the decode-cache counters.
-        assert "hits" in xc.icache_stats()
+        assert "arch_icache_hits_total{cpu=0,domain=xc0}" in counters
 
     def test_duplicate_name_rejected(self):
         from repro.core.xcontainer import XContainer
