@@ -1,6 +1,10 @@
 """Bench: telemetry costs <2% on the functional HTTP request path.
 
-The registry observes the substrates through lazy bindings — hot paths
+Metrics are pull-model: unlike the push hooks (fault sites, sanitizer
+and trace events), which reach a substrate through its one ``probe``
+attribute and are gated in ``test_faults_overhead`` and
+``test_sanitize_overhead``, the registry observes the substrates
+through lazy bindings — hot paths
 keep mutating their own stat structs and the registry reads them at
 collect time, so bound instruments are free by construction.  What DOES
 run per request when a :class:`repro.obs.Telemetry` is attached to

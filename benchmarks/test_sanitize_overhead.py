@@ -1,10 +1,11 @@
 """Bench: disabled sanitizer hooks cost <2% on the functional HTTP path.
 
-The sanitizer suite observes the substrates through the same pattern as
-telemetry: every instrumented operation pays one ``self.sanitizer is not
+The sanitizer suite observes the substrates through their one ``probe``
+attribute: every instrumented operation pays one ``self.probe is not
 None`` guard, and the checker work behind the guard only runs for
-callers who attached a :class:`repro.sanitize.SanitizerSuite`.  The gate
-here is on what every *un-sanitized* run now pays: the guards.
+callers who attached a :class:`repro.obs.probe.Probe` routing to a
+:class:`repro.sanitize.SanitizerSuite`.  The gate here is on what every
+*un-sanitized* run now pays: the guards.
 
 ``GUARDS_PER_OP`` prices one whole-stack request generously.  A
 16-descriptor transmit train evaluates the guard at batch start, once
@@ -18,10 +19,11 @@ Two claims pinned, mirroring ``test_obs_overhead``:
 * with no suite attached, ``GUARDS_PER_OP`` attribute-test guards cost
   <2% of one whole-stack HTTP request (connect, parse, RamFS read,
   respond);
-* the enabled-hook cost (vector-clock stamping per ring publish) is
-  measured and recorded for trending but not gated — checking is work
-  the caller asked for, and neutrality of the *simulated* numbers is
-  pinned separately in ``tests/sanitize/test_neutrality.py``.
+* the enabled-hook cost (probe routing plus vector-clock stamping per
+  ring publish) is measured and recorded for trending but not gated —
+  checking is work the caller asked for, and neutrality of the
+  *simulated* numbers is pinned separately in
+  ``tests/sanitize/test_neutrality.py``.
 
 Wall-time uses min-of-rounds on both sides so scheduler noise cannot
 fail the build.
@@ -29,6 +31,8 @@ fail the build.
 
 import time
 
+from repro.faults import sites
+from repro.obs import Probe
 from repro.perf.clock import SimClock
 from repro.sanitize import SanitizerSuite
 from repro.workloads.wrk_functional import FunctionalWrk
@@ -53,23 +57,21 @@ def _min_time(fn, rounds=7):
 
 
 def _net_driver(suite=None):
+    probe = Probe(sanitizers=suite) if suite is not None else None
     clock = SimClock()
-    xen = XenHypervisor(clock=clock)
-    if suite is not None:
-        xen.grants.sanitizer = suite
+    xen = XenHypervisor(clock=clock, probe=probe)
     guest = xen.create_domain("guest")
     backend = xen.create_domain("backend", DomainKind.DRIVER)
-    events = EventChannelTable(xen.costs, clock, sanitizer=suite)
+    events = EventChannelTable(xen.costs, clock, probe=probe)
     return SplitNetDriver(
-        guest, backend, xen.grants, events, xen.costs, clock,
-        sanitizer=suite,
+        guest, backend, xen.grants, events, xen.costs, clock, probe=probe
     )
 
 
 def test_sanitizer_overhead_under_two_percent(benchmark, record_rate):
     wrk = FunctionalWrk()
     net = _net_driver()
-    assert net.sanitizer is None
+    assert net.probe is None
 
     def requests():
         for _ in range(REQUESTS):
@@ -88,7 +90,7 @@ def test_sanitizer_overhead_under_two_percent(benchmark, record_rate):
     # evaluated against the real attribute on a real driver.
     def guards():
         for _ in range(REQUESTS * GUARDS_PER_OP):
-            if net.sanitizer is not None:
+            if net.probe is not None:
                 pass
 
     guard_s = max(0.0, _min_time(guards) - _min_time(loop_only))
@@ -97,15 +99,18 @@ def test_sanitizer_overhead_under_two_percent(benchmark, record_rate):
         f"sanitizer guards cost {overhead:.2%} of the HTTP request path"
     )
 
-    # What opted-in callers pay: one ring publish stamped through the
-    # vector-clock detector.  Informational only.
-    suite = SanitizerSuite()
-    name = suite.ring_register("bench", 1 << 30, 16)
-    suite.ring_batch_start(name, "frontend")
+    # What opted-in callers pay: one ring publish routed by the probe
+    # and stamped through the vector-clock detector.  Informational only.
+    probe = Probe(sanitizers=SanitizerSuite())
+    probe.fire(
+        sites.RING_REGISTER, ring="bench", name="bench", size=1 << 30,
+        slot_bytes=16, producer="frontend",
+    )
+    probe.fire(sites.RING_BATCH, ring="bench")
 
     def checker_work():
         for _ in range(REQUESTS):
-            suite.ring_publish(name, "frontend")
+            probe.fire(sites.RING_PUBLISH, ring="bench")
 
     checker_s = max(0.0, _min_time(checker_work) - _min_time(loop_only))
     record_rate(

@@ -25,7 +25,8 @@ from repro.analysis.sites import DiscoveredSite, discover_binary_sites
 from repro.arch.binary import Binary
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
-from repro.obs import Tracer
+from repro.obs import Probe, Tracer
+from repro.perf.clock import SimClock
 
 
 @dataclass(frozen=True)
@@ -105,18 +106,10 @@ def run_differential(
     if sites is None:
         sites = discover_binary_sites(binary)
 
-    xc = XContainer(CountingServices())
-    tracer = Tracer(xc.clock, capacity=65536)
-    xc.attach_tracer(tracer)
-    xc.run(binary, max_instructions=max_instructions)
-
     # Which sites actually trapped?  The X-Kernel traces every forwarded
     # syscall *before* ABOM patches it, so the first execution of every
     # site is always visible here.
-    trapped = {
-        event.detail["rip"]
-        for event in tracer.events("syscall", "forwarded")
-    }
+    xc, trapped = _traced_run(binary, max_instructions)
     patched = set(xc.abom_stats.patched_sites)
 
     result = DifferentialResult(traps=len(trapped))
@@ -155,14 +148,9 @@ def run_differential(
     # compiler off must trap at exactly the same static sites and leave
     # byte-identical patched text — compiled traces may skip *decoding*
     # but must never hide or invent a syscall trap.
-    xc_cold = XContainer(CountingServices(), tracecache=False)
-    tracer_cold = Tracer(xc_cold.clock, capacity=65536)
-    xc_cold.attach_tracer(tracer_cold)
-    xc_cold.run(binary, max_instructions=max_instructions)
-    trapped_cold = {
-        event.detail["rip"]
-        for event in tracer_cold.events("syscall", "forwarded")
-    }
+    xc_cold, trapped_cold = _traced_run(
+        binary, max_instructions, tracecache=False
+    )
     result.tracecache_trap_mismatches = sorted(trapped ^ trapped_cold)
     actual_cold = xc_cold.memory.read(binary.base, len(binary.code))
     if actual_cold != actual:
@@ -170,6 +158,21 @@ def run_differential(
             binary.base, actual, actual_cold
         )
     return result
+
+
+def _traced_run(
+    binary: Binary, max_instructions: int, tracecache: bool = True
+) -> tuple[XContainer, set[object]]:
+    """Run ``binary`` traced; returns the container and the trapped
+    syscall addresses."""
+    tracer = Tracer(SimClock(), capacity=65536)
+    xc = XContainer(
+        CountingServices(), clock=tracer.clock, tracecache=tracecache,
+        probe=Probe(tracer=tracer),
+    )
+    xc.run(binary, max_instructions=max_instructions)
+    forwarded = tracer.events("syscall", "forwarded")
+    return xc, {event.detail["rip"] for event in forwarded}
 
 
 def _diff_regions(

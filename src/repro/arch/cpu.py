@@ -46,6 +46,7 @@ from repro.arch.encoding import (
 from repro.arch.memory import PAGE_SHIFT, PAGE_SIZE, PagedMemory, PageFault
 from repro.arch.registers import Reg, RegisterFile, to_signed64
 from repro.arch.tracecache import TraceCache, TraceStats
+from repro.faults import sites
 
 MASK64 = (1 << 64) - 1
 MAX_INSTR_LEN = 15
@@ -363,6 +364,7 @@ class CPU:
         instruction_ns: float = 0.0,
         icache: bool = True,
         tracecache: bool = True,
+        probe=None,
     ) -> None:
         self.mem = memory
         self.regs = RegisterFile()
@@ -372,10 +374,8 @@ class CPU:
         self.native_stubs: dict[int, NativeStub] = {}
         self.instructions_retired = 0
         self.halted = False
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite`; block
-        #: decode reports an exec access for the race detector.  ``None``
-        #: keeps the hook a single attribute test on the cold decode path.
-        self.sanitizer = None
+        #: Optional :class:`repro.obs.probe.Probe` (decode, trace compile).
+        self.probe = probe
         #: Name this CPU's accesses are attributed to by the sanitizers.
         self.actor = "cpu"
         self.icache_enabled = icache
@@ -511,11 +511,13 @@ class CPU:
         self._blocks[rip] = block
         for index, _ in pages:
             self._page_blocks.setdefault(index, set()).add(rip)
-        san = self.sanitizer
-        if san is not None:
+        probe = self.probe
+        if probe is not None:
             # Decode is the moment text bytes are consumed; the exec
             # access synchronizes on the per-page generation channel.
-            san.on_exec(self.actor, rip, max(offset, 1))
+            probe.fire(
+                sites.CPU_EXEC, actor=self.actor, addr=rip, size=max(offset, 1)
+            )
         return block
 
     def _evict(self, block: _Block) -> None:

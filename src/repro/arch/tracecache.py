@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.arch.memory import PAGE_SHIFT, PageFault
 from repro.arch.encoding import InvalidOpcode
+from repro.faults import sites
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.arch.cpu import CPU, Trap
@@ -178,8 +179,6 @@ class TraceCache:
         self.failed: set[int] = set()
         #: page index -> head rips of traces compiled from that page.
         self.page_traces: dict[int, set[int]] = {}
-        #: optional :class:`repro.obs.Tracer` for compile spans.
-        self.tracer = None
 
     # -- profiling -----------------------------------------------------
     def note_block(self, rip: int) -> None:
@@ -306,14 +305,11 @@ class TraceCache:
             self.page_traces.setdefault(index, set()).add(head)
         self.stats.compiles += 1
         self.stats.code_bytes += len(source)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "trace_compile",
-                "compile",
-                head=f"{head:#x}",
-                ops=retire_total,
-                loop=loop,
-                code_bytes=len(source),
+        probe = self.cpu.probe
+        if probe is not None:
+            probe.fire(
+                sites.TRACE_COMPILE, head=f"{head:#x}", ops=retire_total,
+                loop=loop, code_bytes=len(source),
             )
 
     def _record(self, head: int, Trap) -> tuple[list, bool, int, set[int]]:

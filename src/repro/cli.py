@@ -63,6 +63,14 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an int >= 1 (anything else is a usage error)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return value
+
+
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import experiment_ids, run_experiment
 
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     tcb.set_defaults(func=cmd_tcb)
 
     demo = sub.add_parser("abom-demo", help="live binary-patching demo")
-    demo.add_argument("--iterations", type=int, default=3)
+    demo.add_argument("--iterations", type=_positive_int, default=3)
     demo.set_defaults(func=cmd_abom_demo)
 
     analyze = sub.add_parser(
@@ -458,11 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
              "example sequence byte-identically",
     )
     fuzz.add_argument(
-        "--max-examples", type=int, default=25,
+        "--max-examples", type=_positive_int, default=25,
         help="Hypothesis example budget (default: 25)",
     )
     fuzz.add_argument(
-        "--steps", type=int, default=30,
+        "--steps", type=_positive_int, default=30,
         help="max rule steps per example (default: 30)",
     )
     fuzz.add_argument(
@@ -485,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run seed; same seed + same scenario replays byte-identically",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker processes for the arrival shards (default: host "
              "cores; never changes results, only wall-clock speed)",
     )
@@ -532,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan seed; same seed replays byte-identically",
     )
     metrics.add_argument(
-        "--requests", type=int, default=8,
+        "--requests", type=_positive_int, default=8,
         help="HTTP requests the demo workload issues",
     )
     metrics.add_argument(
@@ -550,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan seed; same seed replays byte-identically",
     )
     trace.add_argument(
-        "--requests", type=int, default=8,
+        "--requests", type=_positive_int, default=8,
         help="HTTP requests the demo workload issues",
     )
     trace.add_argument(

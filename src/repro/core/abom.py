@@ -54,7 +54,7 @@ from repro.arch.cpu import CPU
 from repro.arch.encoding import enc_call_abs_ind, enc_jmp_rel8
 from repro.arch.memory import PagedMemory
 from repro.core import vsyscall
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
@@ -94,19 +94,16 @@ class ABOM:
         costs: CostModel | None = None,
         clock: SimClock | None = None,
         enabled: bool = True,
-        faults=None,
+        probe=None,
     ) -> None:
         self.memory = memory
         self.costs = costs or CostModel()
         self.clock = clock
         self.enabled = enabled
-        #: Optional :class:`repro.faults.plan.FaultEngine`: ``contend``
-        #: faults at :data:`repro.faults.sites.ABOM_CMPXCHG` make the CAS
-        #: lose, exercising §4.4's retry arguments.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`; ``contend`` faults
+        #: make the CAS lose, exercising §4.4's retry arguments.
+        self.probe = probe
         self.stats = AbomStats()
-        #: Optional :class:`repro.obs.Tracer` receiving patch events.
-        self.tracer = None
         #: True while a patch is in flight — models "temporarily disables
         #: interrupts"; tests assert it is never observable from outside.
         self.irqs_disabled = False
@@ -140,26 +137,26 @@ class ABOM:
         if matched:
             self.stats.patched_sites.add(syscall_addr)
             self._charge(self.costs.abom_patch_ns)
-            if self.tracer is not None:
-                self.tracer.emit("abom", "patch", site=syscall_addr)
-            if self.faults is not None and (
-                self._contended or syscall_addr in self._contended_sites
-            ):
-                # Either an earlier trap's patch lost the race (and this
-                # re-trap finished it), or a 9-byte phase-2 loss left the
-                # still-correct phase-1 state (§4.4's race argument).
-                self._contended_sites.discard(syscall_addr)
-                self.faults.record_recovered(
-                    fault_sites.ABOM_CMPXCHG, addr=syscall_addr
-                )
+            probe = self.probe
+            if probe is not None:
+                probe.fire(sites.ABOM_PATCH, site=syscall_addr)
+                if self._contended or syscall_addr in self._contended_sites:
+                    # An earlier trap's patch lost the race (this re-trap
+                    # finished it), or a 9-byte phase-2 loss left the
+                    # still-correct phase-1 state (§4.4's race argument).
+                    self._contended_sites.discard(syscall_addr)
+                    probe.fire(
+                        sites.RECOVERED,
+                        site=sites.ABOM_CMPXCHG, addr=syscall_addr,
+                    )
         elif self._contended:
             # The CAS lost to a racing vCPU — not an unrecognized site;
             # the next trap on this site retries the patch.
             self._contended_sites.add(syscall_addr)
         else:
             self.stats.unrecognized_sites += 1
-            if self.tracer is not None:
-                self.tracer.emit("abom", "unrecognized", site=syscall_addr)
+            if self.probe is not None:
+                self.probe.fire(sites.ABOM_UNRECOGNIZED, site=syscall_addr)
         return matched
 
     def _read_back(self, addr: int, count: int) -> bytes | None:
@@ -238,15 +235,15 @@ class ABOM:
         bumps the text page's generation and notifies every vCPU's write
         observer, evicting any basic block decoded from the old bytes.
         """
-        if self.faults is not None:
-            fault = self.faults.fire(fault_sites.ABOM_CMPXCHG, addr=addr)
+        if self.probe is not None:
+            fault = self.probe.fire(sites.ABOM_CMPXCHG, addr=addr)
             if fault is not None and fault.kind == "contend":
                 # A racing vCPU's store won; our compare sees stale bytes
                 # and fails without writing anything.
                 self.stats.cmpxchg_contentions += 1
                 self._contended = True
-                self.faults.record_retry(
-                    fault_sites.ABOM_CMPXCHG, addr=addr
+                self.probe.fire(
+                    sites.RETRIED, site=sites.ABOM_CMPXCHG, addr=addr
                 )
                 return False
         self.irqs_disabled = True

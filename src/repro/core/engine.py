@@ -43,7 +43,7 @@ from repro.arch.binary import Binary
 from repro.arch.registers import Reg
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.xen.scheduler import CreditScheduler
 
@@ -164,7 +164,6 @@ class ExecDomain:
         self.pending_posts = 0
         self.mailbox_addr = 0
         self.result_addr = 0
-        self.ring_name = ""
 
     @property
     def completed(self) -> int:
@@ -198,8 +197,7 @@ class ExecutionEngine:
         tick_ns: float = 1e6,
         scheduler: CreditScheduler | None = None,
         clock: SimClock | None = None,
-        faults=None,
-        sanitizer=None,
+        probe=None,
         spin: int = DEFAULT_SPIN,
         burst_budget: int = 1_000_000,
     ) -> None:
@@ -210,10 +208,8 @@ class ExecutionEngine:
         self.scheduler = scheduler or CreditScheduler(physical_cpus=16)
         #: Global virtual time (always a tick multiple; exact in float).
         self.clock = clock if clock is not None else SimClock()
-        #: Optional :class:`repro.faults.plan.FaultEngine` (SCHED_WAKE).
-        self.faults = faults
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite`.
-        self.sanitizer = sanitizer
+        #: Optional :class:`repro.obs.probe.Probe` (SCHED_WAKE, wake rings).
+        self.probe = probe
         self.burst_budget = burst_budget
         self.stats = EngineStats()
         self._now = 0.0
@@ -252,9 +248,11 @@ class ExecutionEngine:
         dom.clock.advance_to(self._now)
         self.scheduler.add_vcpu(domid, weight)
         self._park(dom)
-        if self.sanitizer is not None:
-            dom.ring_name = self.sanitizer.ring_register(
-                f"wake:{name}", WAKE_RING_SIZE, 8
+        if self.probe is not None:
+            self.probe.fire(
+                sites.RING_REGISTER, ring=dom, name=f"wake:{name}",
+                size=WAKE_RING_SIZE, slot_bytes=8, producer="engine",
+                consumer=name,
             )
         self._domains[domid] = dom
         self._order.append(domid)
@@ -275,8 +273,8 @@ class ExecutionEngine:
         dom.pending_units = 0
         dom.pending_posts = 0
         self.scheduler.remove_domain(domid)
-        if self.sanitizer is not None:
-            self.sanitizer.ring_quiesce(dom.ring_name)
+        if self.probe is not None:
+            self.probe.fire(sites.RING_QUIESCE, ring=dom)
 
     # ------------------------------------------------------------------
     # Wake-event protocol
@@ -309,8 +307,8 @@ class ExecutionEngine:
         dom.pending_posts += 1
         self.stats.posts += 1
         self.stats.units_posted += units
-        if self.sanitizer is not None:
-            self.sanitizer.ring_publish(dom.ring_name, "engine")
+        if self.probe is not None:
+            self.probe.fire(sites.RING_PUBLISH, ring=dom)
         self._enqueue(domid, self._next_tick(at_ns))
 
     def post_kick(self, domid: int, at_ns: float | None = None) -> None:
@@ -433,19 +431,19 @@ class ExecutionEngine:
         if dom.dead:
             self.stats.dead_wakes += 1
             return
-        if self.faults is not None:
-            fault = self.faults.fire(fault_sites.SCHED_WAKE, domid=domid)
+        probe = self.probe
+        if probe is not None:
+            fault = probe.fire(sites.SCHED_WAKE, domid=domid)
             if fault is not None:
                 if fault.kind == "drop":
                     self.stats.drops += 1
-                    if self.sanitizer is not None:
-                        self.sanitizer.ring_kick_lost(dom.ring_name)
+                    probe.fire(sites.RING_KICK_LOST, ring=dom)
                     if attempts + 1 >= MAX_REDELIVERIES:
                         self.stats.abandoned += 1
-                        self.faults.record_fatal(fault_sites.SCHED_WAKE)
+                        probe.fire(sites.FATAL, site=sites.SCHED_WAKE)
                         return
                     # Bounded watchdog: re-kick a few ticks out.
-                    self.faults.record_retry(fault_sites.SCHED_WAKE)
+                    probe.fire(sites.RETRIED, site=sites.SCHED_WAKE)
                     self.stats.redeliveries += 1
                     self._enqueue(
                         domid,
@@ -463,16 +461,15 @@ class ExecutionEngine:
                         True,
                     )
                     return
-        if (attempts or delayed) and self.faults is not None:
-            # A previously dropped or delayed kick finally landed.
-            self.faults.record_recovered(fault_sites.SCHED_WAKE)
+            if attempts or delayed:
+                # A previously dropped or delayed kick finally landed.
+                probe.fire(sites.RECOVERED, site=sites.SCHED_WAKE)
+            probe.fire(sites.RING_KICK, ring=dom)
         self.stats.wake_events += 1
         units = dom.pending_units
         posts = dom.pending_posts
         dom.pending_units = 0
         dom.pending_posts = 0
-        if self.sanitizer is not None:
-            self.sanitizer.ring_kick(dom.ring_name, "engine")
         if units == 0:
             self.stats.spurious_wakes += 1
         dom.container.memory.write_u64(dom.mailbox_addr, units)
@@ -480,8 +477,8 @@ class ExecutionEngine:
         retired = dom.cpu.run(self.burst_budget)
         self.stats.instructions += retired
         self.stats.bursts += 1
-        if self.sanitizer is not None and posts:
-            self.sanitizer.ring_reap(dom.ring_name, dom.name, posts)
+        if probe is not None and posts:
+            probe.fire(sites.RING_REAP, ring=dom, count=posts)
         self._park(dom)
 
     def _wake(self, dom: ExecDomain, t: float) -> None:

@@ -49,9 +49,8 @@ class XContainer:
         memory_mb: int = 128,
         icache: bool = True,
         tracecache: bool = True,
-        faults=None,
+        probe=None,
         telemetry: bool = True,
-        sanitizers=None,
     ) -> None:
         self.name = name
         self.vcpus = vcpus
@@ -61,46 +60,30 @@ class XContainer:
         self.memory = PagedMemory()
         self.icache_enabled = icache
         self.tracecache_enabled = tracecache
-        #: Optional :class:`repro.faults.plan.FaultEngine` (chaos runs).
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`, shared by every layer;
+        #: its sanitizer suite also observes this container's memory.
+        self.probe = probe
         self.xkernel = XKernel(
             self.memory,
             self.costs,
             self.clock,
             abom_enabled=abom_enabled,
-            faults=faults,
+            probe=probe,
         )
-        self.libos = XLibOS(self.memory, services, self.costs, self.clock)
-        self.cpu = CPU(
-            self.memory,
-            self.clock,
-            instruction_ns=self.costs.instruction_ns,
-            icache=icache,
-            tracecache=tracecache,
+        self.libos = XLibOS(
+            self.memory, services, self.costs, self.clock, probe=probe
         )
-        self.cpus: list[CPU] = [self.cpu]
-        self.xkernel.attach(self.cpu, self.libos)
-        self._setup_stack(self.cpu, index=0)
         #: name -> split driver (SplitNetDriver / SplitBlockDriver) whose
         #: ring counters :meth:`telemetry` surfaces.
         self._io_drivers: dict[str, object] = {}
         #: Lazily-built :class:`repro.obs.Telemetry` (see :meth:`telemetry`).
         self._telemetry = None
         self._telemetry_enabled = telemetry
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite`.
-        self.sanitizers = None
-        if sanitizers is not None:
-            self.attach_sanitizers(sanitizers)
-
-    def attach_sanitizers(self, suite) -> None:
-        """Wire a :class:`repro.sanitize.suite.SanitizerSuite` into this
-        container: memory write/LOCK observers plus per-vCPU exec hooks.
-        The suite sees every vCPU under the ``<name>/vcpuN`` actor."""
-        self.sanitizers = suite
-        suite.attach_memory(self.memory)
-        for index, cpu in enumerate(self.cpus):
-            cpu.sanitizer = suite
-            cpu.actor = f"{self.name}/vcpu{index}"
+        self.cpus: list[CPU] = []
+        self.cpu = self.add_vcpu()
+        self._sanitizers = probe.sanitizers if probe is not None else None
+        if self._sanitizers is not None:
+            self._sanitizers.attach_memory(self.memory)
 
     def _setup_stack(self, cpu: CPU, index: int) -> None:
         top = STACK_TOP - index * STACK_STRIDE
@@ -123,14 +106,11 @@ class XContainer:
             instruction_ns=self.costs.instruction_ns,
             icache=self.icache_enabled,
             tracecache=self.tracecache_enabled,
+            probe=self.probe,
         )
-        if cpu._tracecache is not None and self.xkernel.tracer is not None:
-            cpu._tracecache.tracer = self.xkernel.tracer
         self.xkernel.attach(cpu, self.libos)
         self._setup_stack(cpu, index=len(self.cpus))
-        if self.sanitizers is not None:
-            cpu.sanitizer = self.sanitizers
-            cpu.actor = f"{self.name}/vcpu{len(self.cpus)}"
+        cpu.actor = f"{self.name}/vcpu{len(self.cpus)}"
         self.cpus.append(cpu)
         if len(self.cpus) > self.vcpus:
             self.vcpus = len(self.cpus)
@@ -161,7 +141,7 @@ class XContainer:
             cpu.regs.rip = entry
         retired = 0
         live = [cpu for cpu, _ in programs]
-        sanitizers = self.sanitizers
+        sanitizers = self._sanitizers
         while live and retired < max_instructions:
             for cpu in list(live):
                 if sanitizers is not None:
@@ -198,33 +178,13 @@ class XContainer:
         """Run already-loaded code starting at ``entry``."""
         self.cpu.halted = False
         self.cpu.regs.rip = entry
-        if self.sanitizers is not None:
-            self.sanitizers.current_actor = self.cpu.actor
-        start_ns = self.clock.now_ns
-        retired = self.cpu.run(max_instructions)
-        return RunResult(
-            instructions=retired,
-            elapsed_ns=self.clock.now_ns - start_ns,
-            exit_rax=self.cpu.regs.rax,
-        )
-
-    def attach_tracer(self, tracer) -> None:
-        """Route X-Kernel, ABOM, LibOS — and, when a fault engine is
-        attached, fault-injection lifecycle events — into ``tracer``."""
-        self.xkernel.tracer = tracer
-        self.xkernel.abom.tracer = tracer
-        self.libos.tracer = tracer
-        for cpu in self.cpus:
-            if cpu._tracecache is not None:
-                cpu._tracecache.tracer = tracer
-        if self.faults is not None:
-            self.faults.tracer = tracer
+        return self.resume(max_instructions)
 
     def step(self, count: int = 1) -> int:
         """Execute up to ``count`` instructions; returns how many ran."""
         executed = 0
-        if self.sanitizers is not None:
-            self.sanitizers.current_actor = self.cpu.actor
+        if self._sanitizers is not None:
+            self._sanitizers.current_actor = self.cpu.actor
         while executed < count and not self.cpu.halted:
             self.cpu.step()
             executed += 1
@@ -285,8 +245,8 @@ class XContainer:
 
     def resume(self, max_instructions: int = 50_000_000) -> RunResult:
         """Continue execution from the current (restored) state."""
-        if self.sanitizers is not None:
-            self.sanitizers.current_actor = self.cpu.actor
+        if self._sanitizers is not None:
+            self._sanitizers.current_actor = self.cpu.actor
         start_ns = self.clock.now_ns
         retired = self.cpu.run(max_instructions)
         return RunResult(
@@ -332,8 +292,8 @@ class XContainer:
             wire.wire_xkernel(registry, self.xkernel)
             wire.wire_abom(registry, self.xkernel.abom)
             wire.wire_libos(registry, self.libos)
-            if self.faults is not None:
-                wire.wire_faults(registry, self.faults)
+            if self.probe is not None and self.probe.faults is not None:
+                wire.wire_faults(registry, self.probe.faults)
             for name, driver in self._io_drivers.items():
                 wire.wire_ring_driver(registry, name, driver)
             self._telemetry = tel

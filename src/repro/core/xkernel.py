@@ -27,6 +27,7 @@ from repro.arch.cpu import CPU, Trap, TrapKind
 from repro.arch.memory import PagedMemory
 from repro.core.abom import ABOM
 from repro.core.xlibos import XLibOS
+from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
@@ -59,19 +60,17 @@ class XKernel:
         clock: SimClock | None = None,
         abom_enabled: bool = True,
         meltdown_patched: bool = True,
-        faults=None,
+        probe=None,
     ) -> None:
         self.memory = memory
         self.costs = costs or CostModel()
         self.clock = clock
-        #: Optional :class:`repro.faults.plan.FaultEngine`, shared with ABOM.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`, shared with ABOM.
+        self.probe = probe
         self.abom = ABOM(
-            memory, self.costs, clock, enabled=abom_enabled, faults=faults
+            memory, self.costs, clock, enabled=abom_enabled, probe=probe
         )
         self.stats = XKernelStats()
-        #: Optional :class:`repro.obs.Tracer`.
-        self.tracer = None
         #: The XPTI patch is ported to the X-Kernel (§5.1) but does not
         #: affect the syscall path — syscalls never cross into the
         #: hypervisor's protected mappings (§5.4: "the Meltdown patch does
@@ -108,9 +107,9 @@ class XKernel:
         guaranteeing binary level compatibility."
         """
         self.stats.syscalls_trapped += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "syscall", "forwarded", rip=trap.rip,
+        if self.probe is not None:
+            self.probe.fire(
+                sites.SYSCALL_FORWARDED, rip=trap.rip,
                 nr=cpu.regs.rax & 0xFFFFFFFF,
             )
         self.abom.try_patch(trap.rip)

@@ -29,6 +29,7 @@ from repro.arch.cpu import CPU
 from repro.arch.memory import PagedMemory, PageFault
 from repro.arch.registers import MASK64, Reg
 from repro.core.vsyscall import VsyscallPage
+from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
@@ -83,6 +84,7 @@ class XLibOS:
         services: SyscallServices,
         costs: CostModel | None = None,
         clock: SimClock | None = None,
+        probe=None,
     ) -> None:
         self.memory = memory
         self.services = services
@@ -91,8 +93,8 @@ class XLibOS:
         self.stats = LibOsStats()
         self.vsyscall = VsyscallPage(memory)
         self.vsyscall.install()
-        #: Optional :class:`repro.obs.Tracer`.
-        self.tracer = None
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
 
     def attach(self, cpu: CPU) -> None:
         """Register this LibOS's entry stubs on ``cpu``."""
@@ -109,8 +111,8 @@ class XLibOS:
         """
         if self.clock is not None:
             self.clock.advance(self.costs.xc_func_call_syscall_ns)
-        if self.tracer is not None:
-            self.tracer.emit("syscall", "lightweight", nr=nr)
+        if self.probe is not None:
+            self.probe.fire(sites.SYSCALL_LIGHTWEIGHT, nr=nr)
         regs = cpu.regs
         gprs = regs._regs
         ret_addr = cpu.mem.read_u64(gprs[_RSP])

@@ -6,8 +6,9 @@ repository *tests* that claim instead of asserting it.  It provides:
 
 * :mod:`~repro.faults.plan` — the seed-driven ``FaultPlan`` DSL and the
   compiled :class:`~repro.faults.plan.FaultEngine`;
-* :mod:`~repro.faults.sites` — the catalog of injection points threaded
-  through the substrates behind no-op defaults;
+* :mod:`~repro.faults.sites` — the one catalog of probe sites (fault,
+  fault-lifecycle, sanitizer and trace events) the substrates fire
+  through their ``probe=None`` attribute;
 * :mod:`~repro.faults.retry` — bounded retry/backoff policies the
   frontends adopt so injected faults are survivable;
 * :mod:`~repro.faults.chaos` / :mod:`~repro.faults.scenarios` — named

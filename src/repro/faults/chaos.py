@@ -26,6 +26,7 @@ from repro.perf.rand import DeterministicRng
 
 if TYPE_CHECKING:
     from repro.fuzz.steps import Step
+    from repro.obs.probe import Probe
 
 
 class InvariantViolation(AssertionError):
@@ -39,11 +40,11 @@ class ScenarioContext:
     clock: SimClock
     engine: FaultEngine
     rng: DeterministicRng
+    #: The probe the body hands every substrate it constructs: routes to
+    #: :attr:`engine` (and a sanitizer suite under ``repro sanitize``).
+    probe: Probe
     #: Invariants checked so far (descriptions, pass/fail recorded).
     invariants: list[str] = field(default_factory=list)
-    #: Optional :class:`repro.sanitize.suite.SanitizerSuite` the body
-    #: wires into the substrates it constructs (``repro sanitize``).
-    sanitizers: object | None = None
 
     def check(self, condition: bool, invariant: str) -> None:
         """Assert a recovery invariant; failures abort the scenario."""
@@ -81,7 +82,7 @@ class Scenario:
         The declarative constructor over the same :class:`Step` type the
         stateful fuzzer (:mod:`repro.fuzz`) emits: the body replays the
         steps through a :class:`~repro.fuzz.world.FuzzWorld` wired to the
-        scenario context's clock, fault engine, and sanitizers, checking
+        scenario context's clock and probe, checking
         the full fuzz invariant set after every step.  Promoted shrunk
         failures become first-class catalog entries this way — register
         the result with :func:`repro.faults.registry.register`.
@@ -147,6 +148,8 @@ class ChaosHarness:
         sanitizers: Any = None,
     ) -> ScenarioResult:
         """Run one scenario under its (or an explicit) fault plan."""
+        from repro.obs.probe import Probe
+
         seed = self.scenario_seed(scenario)
         if plan is None:
             plan = scenario.default_plan(seed)
@@ -156,7 +159,7 @@ class ChaosHarness:
             clock=clock,
             engine=engine,
             rng=DeterministicRng(seed).fork("body"),
-            sanitizers=sanitizers,
+            probe=Probe(engine, sanitizers),
         )
         failure = ""
         details: dict = {}

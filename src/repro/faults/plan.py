@@ -3,8 +3,8 @@
 A plan is a list of :class:`FaultSpec` — *what* to inject (site + kind),
 *when* (a trigger: nth occurrence, every-nth, sim-time window, or
 probability), and *how hard* (``param``, ``limit``).  Compiling a plan
-produces a :class:`FaultEngine`: the object the substrates poke via
-``engine.fire(site)`` on every occurrence of an injectable operation.
+produces a :class:`FaultEngine`, which a :class:`repro.obs.probe.Probe`
+consults on every occurrence of an injectable operation.
 
 Determinism is by construction: probability triggers draw from
 :class:`repro.perf.rand.DeterministicRng` streams forked per spec from
@@ -16,14 +16,10 @@ counter and the simulated clock.  Same seed + same plan + same workload
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.perf.rand import DeterministicRng
-
-if TYPE_CHECKING:
-    from repro.obs.tracing import Tracer
 
 # ---------------------------------------------------------------------------
 # Triggers
@@ -133,13 +129,9 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
 
-    def compile(
-        self,
-        clock: SimClock | None = None,
-        tracer: Tracer | None = None,
-    ) -> "FaultEngine":
-        """Build the engine the substrates fire into."""
-        return FaultEngine(self, clock=clock, tracer=tracer)
+    def compile(self, clock: SimClock | None = None) -> "FaultEngine":
+        """Build the engine the substrates' probes fire into."""
+        return FaultEngine(self, clock=clock)
 
     def reseeded(self, seed: int | str) -> "FaultPlan":
         return FaultPlan(self.specs, seed)
@@ -219,24 +211,15 @@ class _EngineState:
 class FaultEngine:
     """Compiled plan: per-site injectors plus lifecycle accounting.
 
-    Substrates call :meth:`fire` on every occurrence of a site; retry
-    policies and recovery paths report back through :meth:`record_retry`,
-    :meth:`record_recovered`, and :meth:`record_fatal`.  All four emit
-    into an attached :class:`repro.obs.Tracer` under the ``fault``
-    category.
+    A :class:`repro.obs.probe.Probe` calls :meth:`fire` on every
+    occurrence of a fault site; retry policies and recovery paths report
+    back through :meth:`record_retry`, :meth:`record_recovered`, and
+    :meth:`record_fatal` (the probe's lifecycle sites).
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        clock: SimClock | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan, clock: SimClock | None = None) -> None:
         self.plan = plan
         self.clock = clock
-        #: Optional :class:`repro.obs.Tracer`; events carry the
-        #: ``fault`` category with names injected/retried/recovered/fatal.
-        self.tracer = tracer
         self._root = DeterministicRng(plan.seed)
         self._injectors: dict[str, list[_Injector]] = {}
         self._n_specs = 0
@@ -306,11 +289,11 @@ class FaultEngine:
             counters = self._state.counters[site] = SiteCounters()
         return counters
 
-    def fire(self, site: str, **detail) -> Fault | None:
+    def fire(self, site: str) -> Fault | None:
         """One occurrence of ``site``; returns the fault to apply, if any.
 
         The first matching spec (plan order) wins; its injection is
-        counted and traced.  Returns ``None`` when nothing fires.
+        counted.  Returns ``None`` when nothing fires.
         """
         counters = self._counters(site)
         counters.occurrences += 1
@@ -322,41 +305,25 @@ class FaultEngine:
             if injector.should_fire(counters.occurrences, now_ns):
                 injector.injected += 1
                 counters.injected += 1
-                fault = Fault(
+                return Fault(
                     site,
                     injector.spec.kind,
                     injector.spec.param,
                     counters.occurrences,
                 )
-                self._emit("injected", site, kind=fault.kind, **detail)
-                return fault
         return None
 
     # ------------------------------------------------------------------
     # Lifecycle reporting (called by retry policies / recovery paths)
     # ------------------------------------------------------------------
-    def record_retry(self, site: str, **detail) -> None:
+    def record_retry(self, site: str) -> None:
         self._counters(site).retried += 1
-        self._emit("retried", site, **detail)
 
-    def record_recovered(self, site: str, **detail) -> None:
+    def record_recovered(self, site: str) -> None:
         self._counters(site).recovered += 1
-        self._emit("recovered", site, **detail)
 
-    def record_fatal(self, site: str, **detail) -> None:
+    def record_fatal(self, site: str) -> None:
         self._counters(site).fatal += 1
-        self._emit("fatal", site, **detail)
-
-    def _emit(self, name: str, site: str, **detail) -> None:
-        if self.tracer is not None:
-            # Substrate detail keys must not shadow the event's own
-            # fields (or Tracer.emit's parameters).
-            detail = {
-                key: value
-                for key, value in detail.items()
-                if key not in ("site", "name", "category")
-            }
-            self.tracer.emit("fault", name, site=site, **detail)
 
     # ------------------------------------------------------------------
     # Queries

@@ -4,15 +4,19 @@ Injected faults are *survivable*, not just observable: the netfront,
 blkfront, toolstack, and netstack paths route their transient failures
 through a :class:`RetryPolicy`, which bounds attempts, charges
 exponential backoff to the simulated clock, and reports the lifecycle
-(retried → recovered | fatal) into the fault engine.
+(retried → recovered | fatal) through the substrate's probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
+from repro.faults import sites
 from repro.perf.clock import SimClock
+
+if TYPE_CHECKING:
+    from repro.obs.probe import Probe
 
 T = TypeVar("T")
 
@@ -73,7 +77,7 @@ class RetryPolicy:
         retriable: tuple[type[BaseException], ...] | type[BaseException],
         *,
         clock: SimClock | None = None,
-        faults: Any = None,
+        probe: Probe | None = None,
         site: str = "",
         on_retry: Callable[[BaseException, int], None] | None = None,
     ) -> T:
@@ -81,10 +85,10 @@ class RetryPolicy:
 
         ``on_retry(exc, failures)`` runs before each re-attempt (e.g. the
         netfront reconnect); exceptions it raises are themselves subject
-        to the ``retriable`` filter.  On eventual success after at least
-        one failure the engine records a recovery; on exhaustion it
-        records a fatal and :class:`RetryExhausted` is raised with the
-        last failure chained.
+        to the ``retriable`` filter.  Each failure fires a retry (or, on
+        exhaustion, a fatal) lifecycle site on ``probe``, and eventual
+        success after a failure fires a recovery; on exhaustion
+        :class:`RetryExhausted` is raised with the last failure chained.
         """
         failures = 0
         while True:
@@ -92,14 +96,16 @@ class RetryPolicy:
                 result = fn()
             except retriable as exc:
                 failures += 1
+                error = type(exc).__name__
                 if failures >= self.max_attempts:
-                    if faults is not None:
-                        faults.record_fatal(
-                            site, error=type(exc).__name__, attempts=failures
+                    if probe is not None:
+                        probe.fire(
+                            sites.FATAL, site=site, error=error,
+                            attempts=failures,
                         )
                     raise RetryExhausted(site, failures, exc) from exc
-                if faults is not None:
-                    faults.record_retry(site, error=type(exc).__name__)
+                if probe is not None:
+                    probe.fire(sites.RETRIED, site=site, error=error)
                 if clock is not None:
                     clock.advance(self.backoff_ns(failures))
                 if on_retry is not None:
@@ -110,6 +116,6 @@ class RetryPolicy:
                         # loop iteration re-attempts from scratch.
                         pass
                 continue
-            if failures and faults is not None:
-                faults.record_recovered(site, attempts=failures + 1)
+            if failures and probe is not None:
+                probe.fire(sites.RECOVERED, site=site, attempts=failures + 1)
             return result

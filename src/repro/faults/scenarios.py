@@ -50,19 +50,15 @@ def _run_backend_death(ctx: ScenarioContext) -> dict:
     from repro.xen.hypervisor import DomainKind, XenHypervisor
     from repro.xen.remus import Epoch, RemusReplicator
 
-    xen = XenHypervisor(clock=ctx.clock)
+    xen = XenHypervisor(clock=ctx.clock, probe=ctx.probe)
     guest = xen.create_domain("memcached-xc")
     backend = xen.create_domain("netback", DomainKind.DRIVER)
-    xen.grants.faults = ctx.engine
-    xen.grants.sanitizer = ctx.sanitizers
-    events = EventChannelTable(
-        xen.costs, ctx.clock, faults=ctx.engine, sanitizer=ctx.sanitizers
-    )
+    events = EventChannelTable(xen.costs, ctx.clock, probe=ctx.probe)
     driver = SplitNetDriver(
         guest, backend, xen.grants, events, xen.costs, ctx.clock,
-        faults=ctx.engine, sanitizer=ctx.sanitizers,
+        probe=ctx.probe,
     )
-    remus = RemusReplicator(epoch_ms=25.0, faults=ctx.engine)
+    remus = RemusReplicator(epoch_ms=25.0, probe=ctx.probe)
     nbytes = MEMCACHED.bytes_in + MEMCACHED.bytes_out
     epochs, per_epoch = 8, 50
     latency_ms = 0.0
@@ -148,7 +144,7 @@ def _run_migration_storm(ctx: ScenarioContext) -> dict:
                 memory_mb=128,
                 dirty_rate_pages_s=dirty_rate,
                 downtime_budget_ms=5.0,
-                faults=ctx.engine,
+                probe=ctx.probe,
                 abort_on_non_convergence=True,
             ),
         )
@@ -213,7 +209,7 @@ def _run_nginx_loss(ctx: ScenarioContext) -> dict:
     requests = 2000
     lossy = NetStack(
         device=NetDevice.NETFRONT,
-        faults=ctx.engine,
+        probe=ctx.probe,
         retry=RetryPolicy(max_attempts=8),
     )
     clean = NetStack(device=NetDevice.NETFRONT)
@@ -273,17 +269,13 @@ def _run_grant_flaps(ctx: ScenarioContext) -> dict:
     from repro.xen.grant_table import GrantCopyError
     from repro.xen.hypervisor import DomainKind, XenHypervisor
 
-    xen = XenHypervisor(clock=ctx.clock)
+    xen = XenHypervisor(clock=ctx.clock, probe=ctx.probe)
     guest = xen.create_domain("guest")
     backend = xen.create_domain("netback", DomainKind.DRIVER)
-    xen.grants.faults = ctx.engine
-    xen.grants.sanitizer = ctx.sanitizers
-    events = EventChannelTable(
-        xen.costs, ctx.clock, sanitizer=ctx.sanitizers
-    )
+    events = EventChannelTable(xen.costs, ctx.clock, probe=ctx.probe)
     driver = SplitNetDriver(
         guest, backend, xen.grants, events, xen.costs, ctx.clock,
-        faults=ctx.engine, sanitizer=ctx.sanitizers,
+        probe=ctx.probe,
     )
     for _ in range(120):
         driver.transmit(1500)
@@ -310,7 +302,7 @@ def _run_grant_flaps(ctx: ScenarioContext) -> dict:
             lambda: xen.grants.copy_grant(ref, backend.domid, 2048),
             retriable=(GrantCopyError,),
             clock=ctx.clock,
-            faults=ctx.engine,
+            probe=ctx.probe,
             site=sites.GRANT_COPY,
         )
     ctx.check(
@@ -346,9 +338,8 @@ def _run_spawn_timeouts(ctx: ScenarioContext) -> dict:
     from repro.xen.hypervisor import XenHypervisor
     from repro.xen.toolstack import Toolstack
 
-    xen = XenHypervisor(clock=ctx.clock)
-    xen.grants.sanitizer = ctx.sanitizers
-    toolstack = Toolstack(xen, faults=ctx.engine)
+    xen = XenHypervisor(clock=ctx.clock, probe=ctx.probe)
+    toolstack = Toolstack(xen, probe=ctx.probe)
     per_domain_mb = 512
     for index in range(12):
         toolstack.create(
@@ -393,7 +384,7 @@ def _plan_scheduler_storm(seed: int | str) -> FaultPlan:
 def _run_scheduler_storm(ctx: ScenarioContext) -> dict:
     from repro.xen.scheduler import CreditScheduler
 
-    scheduler = CreditScheduler(physical_cpus=2, faults=ctx.engine)
+    scheduler = CreditScheduler(physical_cpus=2, probe=ctx.probe)
     for domid in (1, 2, 3):
         scheduler.add_vcpu(domid)
         scheduler.add_vcpu(domid)
@@ -441,14 +432,13 @@ def _plan_abom_contention(seed: int | str) -> FaultPlan:
 def _run_abom_contention(ctx: ScenarioContext) -> dict:
     from repro.arch import Assembler, Reg
     from repro.core import CountingServices, XContainer
-    from repro.obs import Tracer
+    from repro.obs import Probe, Tracer
 
-    xc = XContainer(
-        CountingServices(results={}), clock=ctx.clock, faults=ctx.engine,
-        sanitizers=ctx.sanitizers,
-    )
     tracer = Tracer(ctx.clock, capacity=256)
-    xc.attach_tracer(tracer)
+    xc = XContainer(
+        CountingServices(results={}), clock=ctx.clock,
+        probe=Probe(ctx.engine, ctx.probe.sanitizers, tracer),
+    )
     # One 7-byte site and one 9-byte site, executed four times each.
     # Contention on occurrence 1 makes the 7-byte patch lose its CAS
     # (retried on the next trap); contention on occurrence 3 makes the
@@ -520,20 +510,16 @@ def _run_event_storm(ctx: ScenarioContext) -> dict:
     from repro.xen.events import EventChannelTable
     from repro.xen.hypervisor import DomainKind, XenHypervisor
 
-    xen = XenHypervisor(clock=ctx.clock)
+    xen = XenHypervisor(clock=ctx.clock, probe=ctx.probe)
     guest = xen.create_domain("guest")
     backend = xen.create_domain("driver", DomainKind.DRIVER)
-    xen.grants.sanitizer = ctx.sanitizers
-    events = EventChannelTable(
-        xen.costs, ctx.clock, faults=ctx.engine, sanitizer=ctx.sanitizers
-    )
+    events = EventChannelTable(xen.costs, ctx.clock, probe=ctx.probe)
     net = SplitNetDriver(
         guest, backend, xen.grants, events, xen.costs, ctx.clock,
-        faults=ctx.engine, sanitizer=ctx.sanitizers,
+        probe=ctx.probe,
     )
     blk = SplitBlockDriver(
-        BlockStore(4096), xen.costs, ctx.clock, faults=ctx.engine,
-        sanitizer=ctx.sanitizers,
+        BlockStore(4096), xen.costs, ctx.clock, probe=ctx.probe
     )
     for _ in range(100):
         net.transmit(1500)
@@ -597,8 +583,7 @@ def _run_wake_drop(ctx: ScenarioContext) -> dict:
     engine = ExecutionEngine(
         hybrid=True,
         clock=ctx.clock,
-        faults=ctx.engine,
-        sanitizer=ctx.sanitizers,
+        probe=ctx.probe,
     )
     fleet = 6
     for _ in range(fleet):

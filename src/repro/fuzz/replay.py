@@ -45,19 +45,14 @@ def run_steps_in_context(
 ) -> dict[str, int]:
     """Execute steps inside a chaos scenario context.
 
-    The world borrows the context's clock, fault engine, and sanitizer
-    suite, so armed faults and injections show up in the scenario's
-    report exactly like a hand-written body's.  Invariant violations
+    The world borrows the context's clock and probe (its fault engine
+    and sanitizer suite), so armed faults and injections show up in the
+    scenario's report exactly like a hand-written body's.  Invariant violations
     propagate (they are :class:`InvariantViolation`, which the harness
     maps to the ``invariant-violated`` outcome); on success every fuzz
     invariant is recorded on the context's ledger.
     """
-    world = FuzzWorld(
-        seed=world_seed,
-        faults=ctx.engine,
-        clock=ctx.clock,
-        sanitizers=ctx.sanitizers,
-    )
+    world = FuzzWorld(seed=world_seed, probe=ctx.probe, clock=ctx.clock)
     for one in steps:
         world.apply(one)
     summary = world.finalize()

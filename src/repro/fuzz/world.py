@@ -49,6 +49,7 @@ from repro.faults.plan import (
 )
 from repro.faults.retry import RetryPolicy
 from repro.fuzz.steps import Step
+from repro.obs.probe import Probe
 from repro.obs.registry import Registry
 from repro.perf.clock import SimClock
 from repro.sanitize.suite import SanitizerSuite
@@ -150,9 +151,8 @@ class FuzzWorld:
     def __init__(
         self,
         seed: int | str = 0,
-        faults: FaultEngine | None = None,
+        probe: Probe | None = None,
         clock: SimClock | None = None,
-        sanitizers: Any = None,
         defect: str | None = None,
     ) -> None:
         from repro.xen.blkdev import BlockStore, SplitBlockDriver
@@ -168,30 +168,24 @@ class FuzzWorld:
         self.seed = seed
         self.defect = defect
         self.clock = clock if clock is not None else SimClock()
-        #: Main fault engine (every site except SCHED_WAKE).  When the
-        #: world runs inside a chaos scenario this is the scenario
-        #: context's engine, so injections land in the chaos report.
-        self.faults = (
-            faults
-            if faults is not None
-            else FaultPlan((), f"{seed}:faults").compile(self.clock)
-        )
-        self.sanitizers = (
-            sanitizers if sanitizers is not None else SanitizerSuite()
-        )
+        given = probe if probe is not None else Probe()
+        #: Main fault engine (every site except SCHED_WAKE) and sanitizer
+        #: suite: the given probe's (a chaos context's), else the world's.
+        plan = FaultPlan((), f"{seed}:faults")
+        self.faults: FaultEngine = given.faults or plan.compile(self.clock)
+        self.sanitizers: SanitizerSuite = given.sanitizers or SanitizerSuite()
+        #: The probe every main-stack substrate carries.
+        self.probe = Probe(self.faults, self.sanitizers, given.tracer)
         # -- hypervisor + lifecycle ------------------------------------
-        self.xen = XenHypervisor(clock=self.clock)
-        self.xen.grants.faults = self.faults
-        self.xen.grants.sanitizer = self.sanitizers
-        self.toolstack = Toolstack(self.xen, faults=self.faults)
+        self.xen = XenHypervisor(clock=self.clock, probe=self.probe)
+        self.toolstack = Toolstack(self.xen, probe=self.probe)
         #: Fuzz-spawned guests (eligible for destroy/migrate).  The net
         #: guest/backend pair below is deliberately NOT in this list —
         #: they hold the ring grant for the whole run.
         self.domains: list[Any] = []
         # -- split drivers ---------------------------------------------
         self.events = EventChannelTable(
-            self.xen.costs, self.clock,
-            faults=self.faults, sanitizer=self.sanitizers,
+            self.xen.costs, self.clock, probe=self.probe
         )
         self._net_guest = self.xen.create_domain("fuzz-net-guest")
         self._net_backend = self.xen.create_domain(
@@ -201,15 +195,15 @@ class FuzzWorld:
         self.net = SplitNetDriver(
             self._net_guest, self._net_backend, self.xen.grants,
             self.events, self.xen.costs, self.clock,
-            faults=self.faults, retry=io_retry, sanitizer=self.sanitizers,
+            probe=self.probe, retry=io_retry,
         )
         self.store = BlockStore(BLK_CAPACITY_SECTORS)
         self.blk = SplitBlockDriver(
             self.store, self.xen.costs, self.clock,
-            faults=self.faults, retry=io_retry, sanitizer=self.sanitizers,
+            probe=self.probe, retry=io_retry,
         )
         # -- Remus ------------------------------------------------------
-        self.remus = RemusReplicator(epoch_ms=25.0, faults=self.faults)
+        self.remus = RemusReplicator(epoch_ms=25.0, probe=self.probe)
         self._epoch_i = 0
         # -- dual fleet engines ----------------------------------------
         # Identically-seeded fault engines: SCHED_WAKE specs are armed
@@ -259,8 +253,7 @@ class FuzzWorld:
                 hybrid=hybrid,
                 tick_ns=FLEET_TICK_NS,
                 clock=engine_faults.clock,
-                faults=engine_faults,
-                sanitizer=self.sanitizers,
+                probe=Probe(engine_faults, self.sanitizers),
             )
             for hybrid, engine_faults in zip(
                 (True, False), self.fleet_faults
@@ -323,7 +316,7 @@ class FuzzWorld:
             memory_mb=dom.memory_mb,
             dirty_rate_pages_s=float(int(args["dirty_rate"])),
             downtime_budget_ms=float(int(args["downtime_ms"])),
-            faults=self.faults,
+            probe=self.probe,
             abort_on_non_convergence=True,
         )
         report = MigrationSession(dom, migration).run()
@@ -368,7 +361,7 @@ class FuzzWorld:
                 "remus-output-commit: failover accounting does not balance"
             )
         # The backup is the new primary: epoch indices stay monotonic.
-        self.remus = RemusReplicator(epoch_ms=25.0, faults=self.faults)
+        self.remus = RemusReplicator(epoch_ms=25.0, probe=self.probe)
         self.counts["remus_failovers"] += 1
         return f"resumed-from={resume} discarded={discarded}"
 
@@ -378,8 +371,7 @@ class FuzzWorld:
         from repro.core import CountingServices, XContainer
 
         xc = XContainer(
-            CountingServices(results={}), clock=self.clock,
-            faults=self.faults, sanitizers=self.sanitizers,
+            CountingServices(results={}), clock=self.clock, probe=self.probe
         )
         # One 7-byte site and one 9-byte site, executed ``rounds`` times
         # each; with the abom-contend budget (2) below ``rounds`` (>= 4

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.faults.retry import RetryPolicy
 from repro.guest.config import KernelConfig
 from repro.perf.costs import CostModel
+
+if TYPE_CHECKING:
+    from repro.obs.probe import Probe
 
 
 class NetstackTimeout(OSError):
@@ -75,9 +79,9 @@ class NetStack:
     #: (Xen-Blanket in clouds, for instance).
     io_overhead_factor: float = 1.0
     stats: NetStats = field(default_factory=NetStats)
-    #: Optional :class:`repro.faults.plan.FaultEngine`; ``None`` keeps the
+    #: Optional :class:`repro.obs.probe.Probe`; ``None`` keeps the
     #: per-request hook a single attribute test.
-    faults: object | None = None
+    probe: Probe | None = None
     #: Retransmission budget: how many times one exchange's segments may
     #: be lost before the connection resets.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -137,7 +141,7 @@ class NetStack:
             stack *= 0.45  # no checksums, no qdisc, no NIC interaction
         wire = (bytes_in + bytes_out) * wire_per_byte
         cost = stack + self.device_cost_ns() + wire
-        if self.faults is not None:
+        if self.probe is not None:
             cost += self._packet_faults_cost_ns(
                 cost, nbytes=bytes_in + bytes_out
             )
@@ -154,49 +158,35 @@ class NetStack:
         exhaustion resets the connection (:class:`NetstackTimeout`).
         Duplicates and reorders only add spurious processing work.
         """
+        probe = self.probe
+        site = sites.NET_PACKET
         extra = 0.0
         losses = 0
-        while True:
-            fault = self.faults.fire(fault_sites.NET_PACKET, bytes=nbytes)
-            if fault is None:
-                if losses:
-                    self.faults.record_recovered(
-                        fault_sites.NET_PACKET, retransmits=losses
-                    )
-                return extra
-            if fault.kind == "drop":
-                losses += 1
-                self.stats.retransmits += 1
-                if losses >= self.retry.max_attempts:
-                    self.faults.record_fatal(
-                        fault_sites.NET_PACKET, retransmits=losses
-                    )
-                    raise NetstackTimeout(
-                        f"segment lost {losses} times; connection reset"
-                    )
-                self.faults.record_retry(fault_sites.NET_PACKET)
-                # RTO wait plus the full resend of the segment train.
-                extra += self.retry.backoff_ns(losses) + exchange_ns
-                continue
+        fault = probe.fire(site, bytes=nbytes)
+        while fault is not None and fault.kind == "drop":
+            losses += 1
+            self.stats.retransmits += 1
+            if losses >= self.retry.max_attempts:
+                probe.fire(sites.FATAL, site=site, retransmits=losses)
+                raise NetstackTimeout(
+                    f"segment lost {losses} times; connection reset"
+                )
+            probe.fire(sites.RETRIED, site=site)
+            # RTO wait plus the full resend of the segment train.
+            extra += self.retry.backoff_ns(losses) + exchange_ns
+            fault = probe.fire(site, bytes=nbytes)
+        if fault is not None:
+            # A dup is recognized by sequence number and dropped; a
+            # reorder queues out of order until the gap fills.
             if fault.kind == "duplicate":
                 self.stats.duplicates += 1
-                self.faults.record_recovered(
-                    fault_sites.NET_PACKET, kind="duplicate"
-                )
-                # The dup is recognized by sequence number and dropped.
-                extra += exchange_ns * 0.1
-            elif fault.kind == "reorder":
+            else:
                 self.stats.reorders += 1
-                self.faults.record_recovered(
-                    fault_sites.NET_PACKET, kind="reorder"
-                )
-                # Out-of-order queueing until the gap fills.
-                extra += exchange_ns * 0.25
-            if losses:
-                self.faults.record_recovered(
-                    fault_sites.NET_PACKET, retransmits=losses
-                )
-            return extra
+            probe.fire(sites.RECOVERED, site=site, kind=fault.kind)
+            extra += exchange_ns * (0.1 if fault.kind == "duplicate" else 0.25)
+        if losses:
+            probe.fire(sites.RECOVERED, site=site, retransmits=losses)
+        return extra
 
     def connection_setup_cost_ns(self) -> float:
         self.stats.connections += 1

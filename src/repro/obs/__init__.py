@@ -10,8 +10,9 @@ debugging tools keep working", applied to ourselves):
 * :class:`SpanRecorder` / ``registry.span(...)`` — span tracing over the
   simulated clock;
 * :class:`Tracer` / :class:`TraceEvent` — the flat ring of instant
-  events (syscall, ABOM, trace-compile and fault lifecycle) that
-  ``XContainer.attach_tracer`` wires in;
+  events (syscall, ABOM, trace-compile and fault lifecycle);
+* :class:`Probe` — the one hook a substrate carries, routing its sites
+  to a fault engine, sanitizer suite and tracer;
 * :func:`prometheus_text`, :func:`chrome_trace_json`,
   :func:`render_table` — deterministic exporters (``repro metrics``,
   ``repro trace``).
@@ -25,6 +26,7 @@ from repro.obs.exporters import (
     render_table,
 )
 from repro.obs.facade import Telemetry
+from repro.obs.probe import Probe
 from repro.obs.registry import (
     DEFAULT_NS_BUCKETS,
     Counter,
@@ -39,6 +41,7 @@ __all__ = [
     "DEFAULT_NS_BUCKETS",
     "Gauge",
     "Histogram",
+    "Probe",
     "Registry",
     "Span",
     "SpanRecorder",

@@ -17,6 +17,7 @@ from repro.faults import sites
 from repro.faults.plan import FaultPlan, FaultSpec, Nth
 from repro.obs import wire
 from repro.obs.facade import Telemetry
+from repro.obs.probe import Probe
 from repro.perf.clock import SimClock
 from repro.workloads.unixbench import build_syscall_bench
 from repro.workloads.wrk_functional import FunctionalWrk
@@ -41,13 +42,13 @@ def run_demo(
     triggers (the demo plan uses none, so ``seed`` is future-proofing).
     """
     clock = SimClock()
-    engine = FaultPlan(
-        (FaultSpec(sites.NET_BACKEND, "kill", Nth(2)),), seed=seed
-    ).compile(clock)
-
-    xc = XContainer(
-        CountingServices(), clock=clock, name="demo", faults=engine
+    probe = Probe(
+        FaultPlan(
+            (FaultSpec(sites.NET_BACKEND, "kill", Nth(2)),), seed=seed
+        ).compile(clock)
     )
+
+    xc = XContainer(CountingServices(), clock=clock, name="demo", probe=probe)
     tel = xc.telemetry()
 
     # Interpreter + ABOM + hypercalls: a real machine-code syscall loop.
@@ -67,7 +68,7 @@ def run_demo(
         events,
         costs=xc.costs,
         clock=clock,
-        faults=engine,
+        probe=probe,
     )
     xc.attach_io_driver("net0", driver)
     wire.wire_grants(tel.registry, hv.grants)

@@ -11,9 +11,9 @@ Two recorders share :class:`~repro.perf.clock.SimClock` timestamps:
   chrome_trace_json` renders them in the Chrome ``about://tracing`` /
   Perfetto event format.
 * :class:`Tracer` — a bounded ring of :class:`TraceEvent` instants, the
-  simulator's ftrace.  Attach one with ``XContainer.attach_tracer`` to
-  capture syscall forwards, lightweight dispatches, ABOM patches, trace
-  compiles and fault-injection lifecycle events.
+  simulator's ftrace.  A :class:`~repro.obs.probe.Probe` routes syscall
+  forwards, lightweight dispatches, ABOM patches, trace compiles and
+  fault-injection lifecycle events into it.
 
 §3.1 argues that X-Containers keep "existing software development,
 profiling, debugging, and deploying tools" usable; this module is the

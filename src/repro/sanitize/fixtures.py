@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.obs.probe import Probe
 from repro.sanitize.report import SanitizeUnit
 from repro.sanitize.suite import SanitizerSuite
 
@@ -24,10 +25,10 @@ def kickless_producer() -> SanitizeUnit:
     is awake), and the consumer goes to sleep with work in the ring.
     """
     suite = SanitizerSuite()
-    ring = suite.ring_register("net:buggy", 256, 16)
-    suite.ring_batch_start(ring, "dom1")
+    ring = suite.ring_register("net:buggy", 256, 16, producer="dom1")
+    suite.ring_batch_start(ring)
     for _ in range(8):
-        suite.ring_publish(ring, "dom1")
+        suite.ring_publish(ring)
     # The bug: no ring_kick before the consumer quiesces.
     suite.ring_quiesce(ring)
     suite.finish()
@@ -45,8 +46,7 @@ def double_unmap() -> SanitizeUnit:
     from repro.xen.hypervisor import XenHypervisor
 
     suite = SanitizerSuite()
-    xen = XenHypervisor()
-    xen.grants.sanitizer = suite
+    xen = XenHypervisor(probe=Probe(sanitizers=suite))
     guest = xen.create_domain("guest")
     backend = xen.create_domain("backend")
     ref = xen.grants.grant_access(guest.domid, 0xE000)
@@ -72,7 +72,9 @@ def unsynchronized_text_patch() -> SanitizeUnit:
     from repro.core import CountingServices, XContainer
 
     suite = SanitizerSuite()
-    xc = XContainer(CountingServices(results={}), sanitizers=suite)
+    xc = XContainer(
+        CountingServices(results={}), probe=Probe(sanitizers=suite)
+    )
     asm = Assembler()
     asm.mov_imm32(Reg.RBX, 4)
     asm.label("loop")

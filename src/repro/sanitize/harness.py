@@ -17,6 +17,7 @@ at the substrate level, where the shared-memory protocols actually run.
 
 from __future__ import annotations
 
+from repro.obs.probe import Probe
 from repro.sanitize.fixtures import run_fixtures
 from repro.sanitize.report import SanitizeReport, SanitizeUnit
 from repro.sanitize.suite import SanitizerSuite
@@ -56,18 +57,16 @@ def _profile_unit(name: str, bytes_in: int, bytes_out: int) -> SanitizeUnit:
     from repro.xen.hypervisor import DomainKind, XenHypervisor
 
     suite = SanitizerSuite()
+    probe = Probe(sanitizers=suite)
     clock = SimClock()
-    xen = XenHypervisor(clock=clock)
-    xen.grants.sanitizer = suite
+    xen = XenHypervisor(clock=clock, probe=probe)
     guest = xen.create_domain(f"{name}-xc")
     backend = xen.create_domain("driver", DomainKind.DRIVER)
-    events = EventChannelTable(xen.costs, clock, sanitizer=suite)
+    events = EventChannelTable(xen.costs, clock, probe=probe)
     net = SplitNetDriver(
-        guest, backend, xen.grants, events, xen.costs, clock, sanitizer=suite
+        guest, backend, xen.grants, events, xen.costs, clock, probe=probe
     )
-    blk = SplitBlockDriver(
-        BlockStore(4096), xen.costs, clock, sanitizer=suite
-    )
+    blk = SplitBlockDriver(BlockStore(4096), xen.costs, clock, probe=probe)
     payload = bytes_in + bytes_out
     # Request trains through the net ring (batched, one kick per train).
     for _ in range(20):
@@ -103,9 +102,9 @@ def _scaleout_unit() -> SanitizeUnit:
     from repro.xen.toolstack import Toolstack
 
     suite = SanitizerSuite()
+    probe = Probe(sanitizers=suite)
     # Domain burst: create and tear down like the 400-container sweep.
-    xen = XenHypervisor()
-    xen.grants.sanitizer = suite
+    xen = XenHypervisor(probe=probe)
     toolstack = Toolstack(xen)
     created = [
         toolstack.create(f"xc{index}", memory_mb=256, full_vm_boot=False)
@@ -115,9 +114,7 @@ def _scaleout_unit() -> SanitizeUnit:
         toolstack.destroy(creation.domain.domid)
     # Two vCPUs executing the SAME text while ABOM patches it live: the
     # cmpxchg/page-generation protocol must keep the race detector clean.
-    xc = XContainer(
-        CountingServices(results={}), vcpus=2, sanitizers=suite
-    )
+    xc = XContainer(CountingServices(results={}), vcpus=2, probe=probe)
     cpu1 = xc.add_vcpu()
     asm = Assembler()
     asm.mov_imm32(Reg.RBX, 6)

@@ -1,10 +1,9 @@
-"""The sanitizer suite: one object the substrates hook into.
+"""The sanitizer suite: one subscriber the substrates' probes call.
 
 ``SanitizerSuite`` owns the three checkers and presents the narrow
-``on_*`` surface the instrumented modules call.  Substrates follow the
-same pattern as ``faults``/``telemetry``: they carry a ``sanitizer``
-attribute that defaults to ``None``, and every hook site is a single
-``if self.sanitizer is not None`` test when disabled — the <2% budget.
+``on_*``/``ring_*`` surface a :class:`repro.obs.probe.Probe` calls for
+each sanitizer event of :mod:`repro.faults.sites`.  With ``probe=None``
+every hook site is a single attribute test — the <2% budget.
 
 Actor attribution: cross-vCPU attribution needs to know *who* is
 executing when a memory observer fires.  The execution drivers
@@ -51,6 +50,9 @@ class SanitizerSuite:
         #: Whoever the execution driver says is running right now.
         self.current_actor = "main"
         self._memories: list[tuple[PagedMemory, object, object]] = []
+        #: Ring key (the producer object a substrate fires with, or the
+        #: name itself) -> (uniquified name, producer, consumer).
+        self._rings: dict[object, tuple[str, str, str]] = {}
 
     # ------------------------------------------------------------------
     # Memory attachment (race detector substrate)
@@ -117,8 +119,12 @@ class SanitizerSuite:
     #: race detector must not alias their slots.
     _SHADOW_RING_BASE = 0xF000_0000
 
-    def ring_register(self, name: str, size: int, slot_bytes: int) -> str:
-        """Register a ring; returns the (uniquified) ring name."""
+    def ring_register(
+        self, name: str, size: int, slot_bytes: int, ring: object = None,
+        producer: str = "", consumer: str = "",
+    ) -> str:
+        """Register a ring; returns the (uniquified) ring name.  Later
+        events name it by ``ring`` (default: that name)."""
         if self.rings is not None:
             base, n = name, 2
             while self.rings.ring(name) is not None:
@@ -128,56 +134,63 @@ class SanitizerSuite:
             self.rings.ring_register(name, size, page, slot_bytes)
             if self.race is not None:
                 self.race.track_page(page)
+        self._rings[name if ring is None else ring] = (name, producer, consumer)
         return name
 
-    def ring_batch_start(self, name: str, producer: str) -> None:
+    def ring_batch_start(self, ring: object) -> None:
+        name, producer, _ = self._rings[ring]
         if self.race is not None:
             self.race.acquire(producer, ("ringc", name))
 
-    def ring_publish(self, name: str, producer: str) -> None:
+    def ring_publish(self, ring: object) -> None:
+        name, producer, _ = self._rings[ring]
         rings = self.rings
         if rings is not None:
             index = rings.ring_publish(name)
-            ring = rings.ring(name)
-            if self.race is not None and ring is not None:
+            state = rings.ring(name)
+            if self.race is not None and state is not None:
                 self.race.write(
-                    producer, ring.slot_addr(index), ring.slot_bytes, track=True
+                    producer, state.slot_addr(index), state.slot_bytes,
+                    track=True,
                 )
 
-    def ring_kick(self, name: str, producer: str) -> None:
+    def ring_kick(self, ring: object) -> None:
+        name, producer, _ = self._rings[ring]
         if self.rings is not None:
             self.rings.ring_kick(name)
         if self.race is not None:
             self.race.release(producer, ("ring", name))
 
-    def ring_kick_lost(self, name: str) -> None:
+    def ring_kick_lost(self, ring: object) -> None:
         if self.rings is not None:
-            self.rings.ring_kick_lost(name)
+            self.rings.ring_kick_lost(self._rings[ring][0])
 
-    def ring_abort(self, name: str, pushed: int) -> None:
+    def ring_abort(self, ring: object, pushed: int) -> None:
         if self.rings is not None:
-            self.rings.ring_abort(name, pushed)
+            self.rings.ring_abort(self._rings[ring][0], pushed)
 
-    def ring_reap(self, name: str, consumer: str, count: int) -> None:
+    def ring_reap(self, ring: object, count: int) -> None:
+        name, _, consumer = self._rings[ring]
         rings = self.rings
         race = self.race
         if race is not None:
             race.acquire(consumer, ("ring", name))
         if rings is not None:
-            ring = rings.ring(name)
-            if ring is not None and race is not None:
+            state = rings.ring(name)
+            if state is not None and race is not None:
                 for i in range(count):
                     race.read(
                         consumer,
-                        ring.slot_addr(ring.cons + i),
-                        ring.slot_bytes,
+                        state.slot_addr(state.cons + i),
+                        state.slot_bytes,
                     )
             rings.ring_consume(name, count)
         if race is not None:
             race.release(consumer, ("ringc", name))
 
-    def ring_stall_drain(self, name: str, producer: str, consumer: str) -> None:
+    def ring_stall_drain(self, ring: object) -> None:
         """Producer hit a full ring; backend drains it synchronously."""
+        name, producer, consumer = self._rings[ring]
         race = self.race
         if race is not None:
             race.release(producer, ("ring", name))
@@ -188,9 +201,9 @@ class SanitizerSuite:
             race.release(consumer, ("ringc", name))
             race.acquire(producer, ("ringc", name))
 
-    def ring_quiesce(self, name: str) -> None:
+    def ring_quiesce(self, ring: object) -> None:
         if self.rings is not None:
-            self.rings.ring_quiesce(name)
+            self.rings.ring_quiesce(self._rings[ring][0])
 
     # ------------------------------------------------------------------
     # Grant hooks

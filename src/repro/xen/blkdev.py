@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.faults.retry import RetryPolicy
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
@@ -146,32 +146,25 @@ class SplitBlockDriver:
         #: Native (non-split) backends skip the ring cost: Docker's
         #: device-mapper path.
         split: bool = True,
-        faults=None,
+        probe=None,
         retry: RetryPolicy | None = None,
-        sanitizer=None,
     ) -> None:
         self.store = store
         self.costs = costs or CostModel()
         self.clock = clock
         self.split = split
-        #: Optional :class:`repro.faults.plan.FaultEngine`.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe` (split path only).
+        self.probe = probe if split else None
         self.retry = retry or RetryPolicy()
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite` — only
-        #: meaningful on the split path (the native device-mapper path
-        #: has no ring protocol to check).
-        self.sanitizer = sanitizer if split else None
         self.stats = BlockStats()
         self.backend_alive = True
         #: Optional ring waker (``ExecutionEngine.ring_waker(domid)``):
         #: response reaps wake the frontend's parked domain.
         self.waker = None
-        self._frontend_actor = "blkfront"
-        self._backend_actor = "blkback"
-        self._ring_name = "blk"
-        if self.sanitizer is not None:
-            self._ring_name = self.sanitizer.ring_register(
-                self._ring_name, 256, 16
+        if self.probe is not None:
+            self.probe.fire(
+                sites.RING_REGISTER, ring=self, name="blk", size=256,
+                slot_bytes=16, producer="blkfront", consumer="blkback",
             )
 
     def bind_telemetry(self, registry, name: str = "blk") -> None:
@@ -181,7 +174,7 @@ class SplitBlockDriver:
         wire.wire_ring_driver(registry, name, self)
 
     def _ring_entry(self, op: str) -> None:
-        """Fault hook at ring submission; no-op on the native path."""
+        """Probe hooks at ring submission; no-op on the native path."""
         if not self.split:
             return
         if not self.backend_alive:
@@ -190,8 +183,9 @@ class SplitBlockDriver:
             self.stats.backend_restarts += 1
             if self.clock is not None:
                 self.clock.advance(self.costs.netfront_ns)
-        if self.faults is not None:
-            fault = self.faults.fire(fault_sites.BLK_BACKEND, op=op)
+        probe = self.probe
+        if probe is not None:
+            fault = probe.fire(sites.BLK_BACKEND, op=op)
             if fault is not None:
                 if fault.kind == "kill":
                     self.backend_alive = False
@@ -203,6 +197,7 @@ class SplitBlockDriver:
                         self.clock.advance(
                             self.costs.netfront_ns * max(1.0, fault.param)
                         )
+            probe.fire(sites.RING_PUBLISH, ring=self)
 
     def _charge_batch(self, ndescs: int, nbytes: int) -> None:
         """Charge one descriptor batch: fixed ring service + marginals.
@@ -232,8 +227,8 @@ class SplitBlockDriver:
             lambda: self._read_many_once(((sector, count),)),
             retriable=(BackendDeadError,),
             clock=self.clock,
-            faults=self.faults,
-            site=fault_sites.BLK_BACKEND,
+            probe=self.probe,
+            site=sites.BLK_BACKEND,
         )
 
     def read_many(self, ops: Iterable[tuple[int, int]]) -> list[bytes]:
@@ -253,25 +248,23 @@ class SplitBlockDriver:
             lambda: self._read_many_once(batch),
             retriable=(BackendDeadError,),
             clock=self.clock,
-            faults=self.faults,
-            site=fault_sites.BLK_BACKEND,
+            probe=self.probe,
+            site=sites.BLK_BACKEND,
         )
 
     def _read_many_once(
         self, batch: Sequence[tuple[int, int]]
     ) -> bytes | list[bytes]:
-        san = self.sanitizer
-        if san is not None:
-            san.ring_batch_start(self._ring_name, self._frontend_actor)
+        probe = self.probe
+        if probe is not None:
+            probe.fire(sites.RING_BATCH, ring=self)
         results = []
         total = 0
         pushed = 0
         try:
             for sector, count in batch:
                 self._ring_entry("read")
-                if san is not None:
-                    san.ring_publish(self._ring_name, self._frontend_actor)
-                    pushed += 1
+                pushed += 1
                 out = b"".join(
                     self.store.read_sector(sector + i) for i in range(count)
                 )
@@ -279,12 +272,12 @@ class SplitBlockDriver:
                 total += len(out)
                 self.stats.reads += 1
         except BaseException:
-            if san is not None:
-                san.ring_abort(self._ring_name, pushed)
+            if probe is not None:
+                probe.fire(sites.RING_ABORT, ring=self, pushed=pushed)
             raise
-        if san is not None:
-            san.ring_kick(self._ring_name, self._frontend_actor)
-            san.ring_reap(self._ring_name, self._backend_actor, len(batch))
+        if probe is not None:
+            probe.fire(sites.RING_KICK, ring=self)
+            probe.fire(sites.RING_REAP, ring=self, count=len(batch))
         self.stats.bytes_moved += total
         self.stats.batches += 1
         self.stats.kicks_saved += len(batch) - 1
@@ -304,8 +297,8 @@ class SplitBlockDriver:
             lambda: self._write_many_once(((sector, data),)),
             retriable=(BackendDeadError,),
             clock=self.clock,
-            faults=self.faults,
-            site=fault_sites.BLK_BACKEND,
+            probe=self.probe,
+            site=sites.BLK_BACKEND,
         )
 
     def write_many(self, ops: Iterable[tuple[int, bytes]]) -> None:
@@ -327,22 +320,20 @@ class SplitBlockDriver:
             lambda: self._write_many_once(batch),
             retriable=(BackendDeadError,),
             clock=self.clock,
-            faults=self.faults,
-            site=fault_sites.BLK_BACKEND,
+            probe=self.probe,
+            site=sites.BLK_BACKEND,
         )
 
     def _write_many_once(self, batch: Sequence[tuple[int, bytes]]) -> None:
-        san = self.sanitizer
-        if san is not None:
-            san.ring_batch_start(self._ring_name, self._frontend_actor)
+        probe = self.probe
+        if probe is not None:
+            probe.fire(sites.RING_BATCH, ring=self)
         total = 0
         pushed = 0
         try:
             for sector, data in batch:
                 self._ring_entry("write")
-                if san is not None:
-                    san.ring_publish(self._ring_name, self._frontend_actor)
-                    pushed += 1
+                pushed += 1
                 for i in range(len(data) // SECTOR_SIZE):
                     self.store.write_sector(
                         sector + i,
@@ -351,12 +342,12 @@ class SplitBlockDriver:
                 self.stats.writes += 1
                 total += len(data)
         except BaseException:
-            if san is not None:
-                san.ring_abort(self._ring_name, pushed)
+            if probe is not None:
+                probe.fire(sites.RING_ABORT, ring=self, pushed=pushed)
             raise
-        if san is not None:
-            san.ring_kick(self._ring_name, self._frontend_actor)
-            san.ring_reap(self._ring_name, self._backend_actor, len(batch))
+        if probe is not None:
+            probe.fire(sites.RING_KICK, ring=self)
+            probe.fire(sites.RING_REAP, ring=self, count=len(batch))
         self.stats.bytes_moved += total
         self.stats.batches += 1
         self.stats.kicks_saved += len(batch) - 1

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.faults.retry import RetryPolicy
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
@@ -98,9 +98,8 @@ class SplitNetDriver:
         events: EventChannelTable,
         costs: CostModel | None = None,
         clock: SimClock | None = None,
-        faults=None,
+        probe=None,
         retry: RetryPolicy | None = None,
-        sanitizer=None,
     ) -> None:
         self.guest = guest
         self.backend = backend
@@ -108,25 +107,20 @@ class SplitNetDriver:
         self.events = events
         self.costs = costs or CostModel()
         self.clock = clock
-        #: Optional :class:`repro.faults.plan.FaultEngine`.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
         self.retry = retry or RetryPolicy()
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite`; mirrors
-        #: the ring protocol (publish/kick/reap) and attributes slot
-        #: accesses to the frontend/backend domains.
-        self.sanitizer = sanitizer
         self.stats = RingStats()
         self.backend_alive = True
         #: Optional ring waker (``ExecutionEngine.ring_waker(domid)``):
         #: response reaps wake the frontend's parked domain.
         self.waker = None
         self._in_flight = 0
-        self._frontend_actor = f"dom{guest.domid}"
-        self._backend_actor = f"dom{backend.domid}"
-        self._ring_name = f"net:g{guest.domid}b{backend.domid}"
-        if sanitizer is not None:
-            self._ring_name = sanitizer.ring_register(
-                self._ring_name, RING_SIZE, 16
+        if probe is not None:
+            probe.fire(
+                sites.RING_REGISTER, ring=self, size=RING_SIZE,
+                name=f"net:g{guest.domid}b{backend.domid}", slot_bytes=16,
+                producer=f"dom{guest.domid}", consumer=f"dom{backend.domid}",
             )
         # The shared ring page: granted by the guest, mapped by the backend.
         self._ring_grant = grants.grant_access(guest.domid, 0xF000)
@@ -159,8 +153,8 @@ class SplitNetDriver:
             lambda: self._transmit_batch_once((nbytes,)),
             retriable=(BackendDeadError, NotificationLost, GrantError),
             clock=self.clock,
-            faults=self.faults,
-            site=fault_sites.NET_BACKEND,
+            probe=self.probe,
+            site=sites.NET_BACKEND,
         )
 
     def transmit_batch(self, sizes: Iterable[int]) -> float:
@@ -183,16 +177,16 @@ class SplitNetDriver:
             lambda: self._transmit_batch_once(batch),
             retriable=(BackendDeadError, NotificationLost, GrantError),
             clock=self.clock,
-            faults=self.faults,
-            site=fault_sites.NET_BACKEND,
+            probe=self.probe,
+            site=sites.NET_BACKEND,
         )
 
     def _transmit_batch_once(self, batch: Sequence[int]) -> float:
         if not self.backend_alive:
             self._restart_backend()
-        san = self.sanitizer
-        if san is not None:
-            san.ring_batch_start(self._ring_name, self._frontend_actor)
+        probe = self.probe
+        if probe is not None:
+            probe.fire(sites.RING_BATCH, ring=self)
         cost = (
             self.costs.ring_batch_fixed_ns
             + len(batch) * self.costs.ring_per_desc_ns
@@ -201,10 +195,8 @@ class SplitNetDriver:
         try:
             for nbytes in batch:
                 cost += nbytes * self.costs.copy_per_byte_ns
-                if self.faults is not None:
-                    fault = self.faults.fire(
-                        fault_sites.NET_BACKEND, bytes=nbytes
-                    )
+                if probe is not None:
+                    fault = probe.fire(sites.NET_BACKEND, bytes=nbytes)
                     if fault is not None and fault.kind == "kill":
                         self.backend_alive = False
                         self.stats.backend_deaths += 1
@@ -212,47 +204,41 @@ class SplitNetDriver:
                             f"netback in domain {self.backend.domid} died "
                             f"mid-ring"
                         )
-                    stall = self.faults.fire(
-                        fault_sites.NET_RING, bytes=nbytes
-                    )
+                    stall = probe.fire(sites.NET_RING, bytes=nbytes)
                     if stall is not None and stall.kind == "stall":
                         self.stats.ring_full_stalls += 1
                         cost += self.costs.netfront_ns * max(1.0, stall.param)
+                    # The ring-full drain below and this push, in order.
+                    if self._in_flight >= RING_SIZE:
+                        probe.fire(sites.RING_STALL, ring=self)
+                    probe.fire(sites.RING_PUBLISH, ring=self)
                 if self._in_flight >= RING_SIZE:
                     self.stats.ring_full_stalls += 1
                     cost += self.costs.netfront_ns
                     self._in_flight = 0
-                    if san is not None:
-                        san.ring_stall_drain(
-                            self._ring_name,
-                            self._frontend_actor,
-                            self._backend_actor,
-                        )
                 self._in_flight += 1
                 pushed += 1
-                if san is not None:
-                    san.ring_publish(self._ring_name, self._frontend_actor)
             # One kick for the whole descriptor train; delivery of any
             # other producers' pending events rides the same flush.
             with self.events.batch():
                 if not self.events.send(self._event_port):
-                    if san is not None:
-                        san.ring_kick_lost(self._ring_name)
+                    if probe is not None:
+                        probe.fire(sites.RING_KICK_LOST, ring=self)
                     raise NotificationLost(
                         f"kick lost on port {self._event_port}"
                     )
-            if san is not None:
-                san.ring_kick(self._ring_name, self._frontend_actor)
+            if probe is not None:
+                probe.fire(sites.RING_KICK, ring=self)
         except BaseException:
             # Unwind the push; the mid-push ring-full reset may have
             # already zeroed the occupancy counter, so clamp at empty.
             self._in_flight = max(0, self._in_flight - pushed)
-            if san is not None:
-                san.ring_abort(self._ring_name, pushed)
+            if probe is not None:
+                probe.fire(sites.RING_ABORT, ring=self, pushed=pushed)
             raise
         # Reap: every response completes in the same service pass.
-        if san is not None:
-            san.ring_reap(self._ring_name, self._backend_actor, len(batch))
+        if probe is not None:
+            probe.fire(sites.RING_REAP, ring=self, count=len(batch))
         self.stats.requests += len(batch)
         self.stats.responses += len(batch)
         self.stats.bytes_moved += sum(batch)
@@ -301,10 +287,10 @@ class SplitNetDriver:
         )
 
     def close(self) -> None:
-        if self.sanitizer is not None:
+        if self.probe is not None:
             # Teardown is a quiescence point: published-but-unkicked
             # descriptors would never wake the backend again.
-            self.sanitizer.ring_quiesce(self._ring_name)
+            self.probe.fire(sites.RING_QUIESCE, ring=self)
         try:
             self.grants.unmap_grant(self._ring_grant, self.backend.domid)
             self.grants.end_access(self._ring_grant)

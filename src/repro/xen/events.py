@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 
@@ -44,18 +44,12 @@ class EventChannelTable:
         self,
         costs: CostModel | None = None,
         clock: SimClock | None = None,
-        faults=None,
-        sanitizer=None,
+        probe=None,
     ) -> None:
         self.costs = costs or CostModel()
         self.clock = clock
-        #: Optional :class:`repro.faults.plan.FaultEngine`; ``None`` keeps
-        #: every hook a single attribute test.
-        self.faults = faults
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite`; sends
-        #: are release edges and deliveries acquire edges for the
-        #: happens-before detector.  Same single-attribute-test budget.
-        self.sanitizer = sanitizer
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
         self._channels: dict[int, EventChannel] = {}
         self._next_port = 1
         #: The shared "any event pending" variable.
@@ -142,19 +136,18 @@ class EventChannelTable:
         channel = self._channels.get(port)
         if channel is None:
             raise KeyError(f"no event channel bound on port {port}")
-        if self.faults is not None:
-            fault = self.faults.fire(fault_sites.EVENT_NOTIFY, port=port)
+        probe = self.probe
+        if probe is not None:
+            fault = probe.fire(sites.EVENT_NOTIFY, port=port)
             if fault is not None:
                 if fault.kind == "drop":
                     self.notifications_dropped += 1
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_event_drop(port)
+                    probe.fire(sites.EVENT_DROP, port=port)
                     return False
                 if fault.kind == "delay":
                     self.notifications_delayed += 1
                     self._charge(fault.param)
-        if self.sanitizer is not None:
-            self.sanitizer.on_event_send(port)
+            probe.fire(sites.EVENT_SEND, port=port)
         channel.pending += 1
         if self._batch_depth > 0 and self.evtchn_upcall_pending:
             # The shared variable is already set; this notify rides the
@@ -178,6 +171,7 @@ class EventChannelTable:
         costs only the emulated stack-frame setup.
         """
         delivered = 0
+        probe = self.probe
         if via_hypercall and self.evtchn_upcall_pending:
             self._charge(self.costs.hypercall_ns)
             self.hypercall_deliveries += 1
@@ -190,8 +184,8 @@ class EventChannelTable:
                     # emulate the interrupt stack frame: a few stores.
                     self._charge(6 * self.costs.instruction_ns)
                     self.direct_deliveries += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_event_deliver(channel.port)
+                if probe is not None:
+                    probe.fire(sites.EVENT_DELIVER, port=channel.port)
                 channel.handler()
         self.evtchn_upcall_pending = False
         return delivered

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.xen.hypercalls import HypercallTable
 
 
@@ -47,16 +47,10 @@ class GrantCopyError(GrantError):
 class GrantTable:
     """Grant bookkeeping for one hypervisor instance."""
 
-    def __init__(
-        self, hypercalls: HypercallTable, faults=None, sanitizer=None
-    ) -> None:
+    def __init__(self, hypercalls: HypercallTable, probe=None) -> None:
         self.hypercalls = hypercalls
-        #: Optional :class:`repro.faults.plan.FaultEngine`.
-        self.faults = faults
-        #: Optional :class:`repro.sanitize.suite.SanitizerSuite`; feeds
-        #: the grant-lifecycle mirror.  ``None`` keeps every hook a
-        #: single attribute test.
-        self.sanitizer = sanitizer
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
         self._grants: dict[int, GrantRef] = {}
         self._next_ref = 1
         self.map_failures = 0
@@ -79,15 +73,17 @@ class GrantTable:
         ref = self._next_ref
         self._next_ref += 1
         self._grants[ref] = GrantRef(ref, owner_domid, page_addr, readonly)
-        if self.sanitizer is not None:
-            self.sanitizer.on_grant(ref, owner_domid, page_addr)
+        if self.probe is not None:
+            self.probe.fire(
+                sites.GRANT_ISSUE, ref=ref, owner=owner_domid, page=page_addr
+            )
         return ref
 
     def map_grant(self, ref: int, mapper_domid: int) -> GrantRef:
-        if self.sanitizer is not None:
+        if self.probe is not None:
             # Before the existence check: mapping a retired ref raises
             # "no such grant", but the mirror knows it was ended.
-            self.sanitizer.on_map_attempt(ref)
+            self.probe.fire(sites.GRANT_MAP_ATTEMPT, ref=ref)
         grant = self._grants.get(ref)
         if grant is None:
             raise GrantError(f"no such grant ref {ref}")
@@ -95,9 +91,9 @@ class GrantTable:
             raise GrantError("domain cannot map its own grant")
         if grant.mapped_by is not None:
             raise GrantError(f"grant {ref} already mapped")
-        if self.faults is not None:
-            fault = self.faults.fire(
-                fault_sites.GRANT_MAP, ref=ref, mapper=mapper_domid
+        if self.probe is not None:
+            fault = self.probe.fire(
+                sites.GRANT_MAP, ref=ref, mapper=mapper_domid
             )
             if fault is not None and fault.kind == "fail":
                 self.map_failures += 1
@@ -107,8 +103,8 @@ class GrantTable:
                 )
         self.hypercalls.call("grant_table_op")
         grant.mapped_by = mapper_domid
-        if self.sanitizer is not None:
-            self.sanitizer.on_map(ref, mapper_domid)
+        if self.probe is not None:
+            self.probe.fire(sites.GRANT_MAPPED, ref=ref, mapper=mapper_domid)
         return grant
 
     def copy_grant(self, ref: int, requester_domid: int, nbytes: int) -> int:
@@ -119,8 +115,9 @@ class GrantTable:
         """
         if nbytes < 0:
             raise ValueError(f"negative copy size: {nbytes}")
-        if self.sanitizer is not None:
-            self.sanitizer.on_copy(ref)
+        probe = self.probe
+        if probe is not None:
+            probe.fire(sites.GRANT_COPY_ATTEMPT, ref=ref)
         grant = self._grants.get(ref)
         if grant is None:
             raise GrantError(f"no such grant ref {ref}")
@@ -128,10 +125,8 @@ class GrantTable:
             raise GrantError(
                 f"grant {ref} not visible to domain {requester_domid}"
             )
-        if self.faults is not None:
-            fault = self.faults.fire(
-                fault_sites.GRANT_COPY, ref=ref, bytes=nbytes
-            )
+        if probe is not None:
+            fault = probe.fire(sites.GRANT_COPY, ref=ref, bytes=nbytes)
             if fault is not None and fault.kind == "fail":
                 self.copy_failures += 1
                 raise GrantCopyError(
@@ -158,8 +153,9 @@ class GrantTable:
         for nbytes in ops:
             if nbytes < 0:
                 raise ValueError(f"negative copy size: {nbytes}")
-        if self.sanitizer is not None and ops:
-            self.sanitizer.on_copy(ref)
+        probe = self.probe
+        if probe is not None and ops:
+            probe.fire(sites.GRANT_COPY_ATTEMPT, ref=ref)
         grant = self._grants.get(ref)
         if grant is None:
             raise GrantError(f"no such grant ref {ref}")
@@ -169,11 +165,9 @@ class GrantTable:
             )
         if not ops:
             return 0
-        if self.faults is not None:
+        if probe is not None:
             for nbytes in ops:
-                fault = self.faults.fire(
-                    fault_sites.GRANT_COPY, ref=ref, bytes=nbytes
-                )
+                fault = probe.fire(sites.GRANT_COPY, ref=ref, bytes=nbytes)
                 if fault is not None and fault.kind == "fail":
                     self.copy_failures += 1
                     raise GrantCopyError(
@@ -188,22 +182,25 @@ class GrantTable:
 
     def unmap_grant(self, ref: int, mapper_domid: int) -> None:
         grant = self._grants.get(ref)
+        probe = self.probe
         if grant is None or grant.mapped_by != mapper_domid:
-            if self.sanitizer is not None:
-                self.sanitizer.on_unmap_attempt(ref, mapper_domid)
+            if probe is not None:
+                probe.fire(
+                    sites.GRANT_UNMAP_ATTEMPT, ref=ref, mapper=mapper_domid
+                )
             if grant is None:
                 raise GrantError(f"no such grant ref {ref}")
             raise GrantError(f"grant {ref} not mapped by domain {mapper_domid}")
         self.hypercalls.call("grant_table_op")
         grant.mapped_by = None
-        if self.sanitizer is not None:
-            self.sanitizer.on_unmap(ref, mapper_domid)
+        if probe is not None:
+            probe.fire(sites.GRANT_UNMAPPED, ref=ref, mapper=mapper_domid)
 
     def end_access(self, ref: int) -> None:
         grant = self._grants.get(ref)
-        if self.sanitizer is not None:
+        if self.probe is not None:
             owner = -1 if grant is None else grant.owner_domid
-            self.sanitizer.on_end(ref, owner)
+            self.probe.fire(sites.GRANT_END, ref=ref, owner=owner)
         if grant is None:
             return
         if grant.mapped_by is not None:

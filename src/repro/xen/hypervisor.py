@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.faults import sites
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 from repro.xen.events import EventChannelTable
@@ -55,6 +56,7 @@ class XenHypervisor:
         clock: SimClock | None = None,
         total_memory_mb: int = 96 * 1024,
         xpti_patched: bool = True,
+        probe=None,
     ) -> None:
         self.costs = costs or CostModel()
         self.clock = clock if clock is not None else SimClock()
@@ -63,7 +65,9 @@ class XenHypervisor:
         #: Xen and we ported it to both Xen-Container and X-Container").
         self.xpti_patched = xpti_patched
         self.hypercalls = HypercallTable(self.costs, self.clock)
-        self.grants = GrantTable(self.hypercalls)
+        #: Optional :class:`repro.obs.probe.Probe`, shared with the grants.
+        self.probe = probe
+        self.grants = GrantTable(self.hypercalls, probe=probe)
         self._domains: dict[int, Domain] = {}
         self._next_domid = 0
         self.create_domain("Domain-0", DomainKind.DOM0, vcpus=4,
@@ -92,10 +96,10 @@ class XenHypervisor:
     def destroy_domain(self, domid: int) -> None:
         if domid == 0:
             raise ValueError("cannot destroy Domain-0")
-        if self.grants.sanitizer is not None:
+        if self.probe is not None:
             # LSan moment: grants still live against the dying domain
             # can never be cleaned up now.
-            self.grants.sanitizer.on_domain_destroy(domid)
+            self.probe.fire(sites.DOMAIN_DESTROY, domid=domid)
         self._domains.pop(domid, None)
 
     def domain(self, domid: int) -> Domain:

@@ -23,7 +23,7 @@ import copy
 from dataclasses import dataclass, field
 
 from repro.arch.memory import PagedMemory, PAGE_SIZE
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.perf.costs import CostModel
 
 
@@ -99,7 +99,7 @@ class LiveMigration:
         max_rounds: int = 30,
         downtime_budget_ms: float = 300.0,
         costs: CostModel | None = None,
-        faults=None,
+        probe=None,
         #: Abort instead of forcing an over-budget stop-and-copy when the
         #: guest dirties faster than the link sends.
         abort_on_non_convergence: bool = False,
@@ -116,8 +116,8 @@ class LiveMigration:
         self.max_rounds = max_rounds
         self.downtime_budget_ms = downtime_budget_ms
         self.costs = costs or CostModel()
-        #: Optional :class:`repro.faults.plan.FaultEngine`.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
         self.abort_on_non_convergence = abort_on_non_convergence
 
     def _send_time_s(self, pages: float) -> float:
@@ -133,6 +133,7 @@ class LiveMigration:
             self.downtime_budget_ms / 1e3
         ) * self.bandwidth_pages_s
         injected = 0
+        probe, site = self.probe, sites.MIGRATION_ROUND
         while rounds < self.max_rounds:
             rounds += 1
             send_s = self._send_time_s(to_send)
@@ -142,16 +143,12 @@ class LiveMigration:
             dirtied = min(
                 self.dirty_rate_pages_s * send_s, float(self.memory_pages)
             )
-            if self.faults is not None:
-                fault = self.faults.fire(
-                    fault_sites.MIGRATION_ROUND, round=rounds
-                )
+            if probe is not None:
+                fault = probe.fire(site, round=rounds)
                 if fault is not None:
                     if fault.kind == "abort":
                         # Clean abort: stop sending, nothing handed over.
-                        self.faults.record_recovered(
-                            fault_sites.MIGRATION_ROUND, round=rounds
-                        )
+                        probe.fire(sites.RECOVERED, site=site, round=rounds)
                         return MigrationReport(
                             rounds=rounds,
                             pages_sent=int(pages_sent),
@@ -171,18 +168,14 @@ class LiveMigration:
                         dirtied = min(
                             dirtied + extra, float(self.memory_pages)
                         )
-                        self.faults.record_retry(
-                            fault_sites.MIGRATION_ROUND, round=rounds
-                        )
+                        probe.fire(sites.RETRIED, site=site, round=rounds)
             if dirtied <= budget_pages:
                 # Stop-and-copy the residual set.
                 downtime_s = self._send_time_s(dirtied)
                 pages_sent += dirtied
                 total_s += downtime_s
-                if injected and self.faults is not None:
-                    self.faults.record_recovered(
-                        fault_sites.MIGRATION_ROUND, rounds=rounds
-                    )
+                if injected and probe is not None:
+                    probe.fire(sites.RECOVERED, site=site, rounds=rounds)
                 return MigrationReport(
                     rounds=rounds,
                     pages_sent=int(pages_sent),
@@ -196,10 +189,8 @@ class LiveMigration:
             to_send = dirtied
         if self.abort_on_non_convergence:
             # Clean abort instead of blowing the downtime budget.
-            if self.faults is not None:
-                self.faults.record_recovered(
-                    fault_sites.MIGRATION_ROUND, rounds=rounds
-                )
+            if probe is not None:
+                probe.fire(sites.RECOVERED, site=site, rounds=rounds)
             return MigrationReport(
                 rounds=rounds,
                 pages_sent=int(pages_sent),

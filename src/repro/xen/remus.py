@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.memory import PAGE_SIZE
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 
 
 class FailoverError(RuntimeError):
@@ -51,7 +51,7 @@ class RemusReplicator:
         self,
         epoch_ms: float = 25.0,
         bandwidth_mbps: float = 10000.0,
-        faults=None,
+        probe=None,
     ) -> None:
         if epoch_ms <= 0:
             raise ValueError(f"epoch must be positive: {epoch_ms}")
@@ -59,8 +59,8 @@ class RemusReplicator:
         self.bandwidth_pages_per_epoch = (
             bandwidth_mbps * 1e6 / 8.0 * (epoch_ms / 1e3) / PAGE_SIZE
         )
-        #: Optional :class:`repro.faults.plan.FaultEngine`.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
         self.stats = ReplicationStats()
         #: Output buffered per epoch: ``(epoch_index, packets)``, oldest
         #: first; an entry leaves the buffer only when its epoch (or a
@@ -99,13 +99,13 @@ class RemusReplicator:
         self.stats.epochs += 1
         self.stats.pages_shipped += epoch.dirty_pages
         acked = True
-        if self.faults is not None:
-            fault = self.faults.fire(fault_sites.REMUS_ACK, epoch=epoch.index)
+        if self.probe is not None:
+            fault = self.probe.fire(sites.REMUS_ACK, epoch=epoch.index)
             if fault is not None and fault.kind == "fail":
                 acked = False
                 self.stats.acks_lost += 1
-                self.faults.record_retry(
-                    fault_sites.REMUS_ACK, epoch=epoch.index
+                self.probe.fire(
+                    sites.RETRIED, site=sites.REMUS_ACK, epoch=epoch.index
                 )
         if acked:
             was_lagging = len(self._buffered_output) > 1
@@ -117,10 +117,10 @@ class RemusReplicator:
             ):
                 released += self._buffered_output.pop(0)[1]
             self.stats.packets_released += released
-            if was_lagging and self.faults is not None:
+            if was_lagging and self.probe is not None:
                 # This ack also committed previously-unacked epochs.
-                self.faults.record_recovered(
-                    fault_sites.REMUS_ACK, epoch=epoch.index
+                self.probe.fire(
+                    sites.RECOVERED, site=sites.REMUS_ACK, epoch=epoch.index
                 )
         # Output latency: buffered for the replication time of its epoch
         # (an unacknowledged epoch waits at least one more epoch-length).

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.perf.costs import CostModel
 
 
@@ -37,15 +37,15 @@ class CreditScheduler:
         physical_cpus: int,
         costs: CostModel | None = None,
         quantum_ns: float = 30e6,  # Xen's 30 ms default time slice
-        faults=None,
+        probe=None,
     ) -> None:
         if physical_cpus < 1:
             raise ValueError(f"need at least one pCPU: {physical_cpus}")
         self.physical_cpus = physical_cpus
         self.costs = costs or CostModel()
         self.quantum_ns = quantum_ns
-        #: Optional :class:`repro.faults.plan.FaultEngine`.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
         self._vcpus: list[VCpu] = []
         #: domid -> its vCPUs; keeps park/wake O(vCPUs of one domain)
         #: so a 1000-domain fleet doesn't scan the world per wake event.
@@ -144,15 +144,13 @@ class CreditScheduler:
         if not runnable:
             return {}
         overhead_factor = 1.0
-        if self.faults is not None:
+        if self.probe is not None:
             if self._pending_recoveries:
                 # Last interval's stall/storm healed by rescheduling.
                 for _ in range(self._pending_recoveries):
-                    self.faults.record_recovered(fault_sites.VCPU)
+                    self.probe.fire(sites.RECOVERED, site=sites.VCPU)
                 self._pending_recoveries = 0
-            fault = self.faults.fire(
-                fault_sites.VCPU, runnable=len(runnable)
-            )
+            fault = self.probe.fire(sites.VCPU, runnable=len(runnable))
             if fault is not None:
                 if fault.kind == "stall" and len(runnable) > 1:
                     # One vCPU misses this interval (stuck in a long

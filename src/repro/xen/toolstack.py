@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults import sites as fault_sites
+from repro.faults import sites
 from repro.faults.retry import RetryPolicy
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
@@ -39,15 +39,15 @@ class Toolstack:
         self,
         xen: XenHypervisor,
         lightvm_mode: bool = False,
-        faults=None,
+        probe=None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.xen = xen
         #: LightVM's streamlined toolstack (no xenstore transactions, no
         #: device-model handshakes).
         self.lightvm_mode = lightvm_mode
-        #: Optional :class:`repro.faults.plan.FaultEngine`.
-        self.faults = faults
+        #: Optional :class:`repro.obs.probe.Probe`.
+        self.probe = probe
         #: Spawn retries back off in the millisecond range — xl restarts
         #: the whole create transaction, not a single hypercall.
         self.retry = retry or RetryPolicy(
@@ -88,8 +88,8 @@ class Toolstack:
             ),
             retriable=(SpawnTimeout,),
             clock=self.clock,
-            faults=self.faults,
-            site=fault_sites.TOOLSTACK_SPAWN,
+            probe=self.probe,
+            site=sites.TOOLSTACK_SPAWN,
         )
 
     def _create_once(
@@ -101,8 +101,8 @@ class Toolstack:
         full_vm_boot: bool,
     ) -> DomainCreation:
         domain = self.xen.create_domain(name, kind, vcpus, memory_mb)
-        if self.faults is not None:
-            fault = self.faults.fire(fault_sites.TOOLSTACK_SPAWN, domain=name)
+        if self.probe is not None:
+            fault = self.probe.fire(sites.TOOLSTACK_SPAWN, domain=name)
             if fault is not None and fault.kind == "timeout":
                 self.spawn_timeouts += 1
                 self.xen.destroy_domain(domain.domid)

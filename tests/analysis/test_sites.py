@@ -11,7 +11,8 @@ from repro.arch import Assembler, Reg
 from repro.arch.binary import SitePattern
 from repro.core import CountingServices, XContainer
 from repro.core.vsyscall import dynamic_slot_addr, slot_addr
-from repro.obs import Tracer
+from repro.obs import Probe, Tracer
+from repro.perf.clock import SimClock
 
 
 def discover(binary):
@@ -193,9 +194,11 @@ def test_static_discovery_equals_interpreter_traps(specs, junk):
     discovered = discover(binary)
 
     # ABOM off: every execution of every site traps to the X-Kernel.
-    xc = XContainer(CountingServices(), abom_enabled=False)
-    tracer = Tracer(xc.clock, capacity=65536)
-    xc.attach_tracer(tracer)
+    tracer = Tracer(SimClock(), capacity=65536)
+    xc = XContainer(
+        CountingServices(), clock=tracer.clock, abom_enabled=False,
+        probe=Probe(tracer=tracer),
+    )
     xc.run(binary)
     trapped = {
         event.detail["rip"]

@@ -19,7 +19,7 @@ from repro.core.engine import (
 )
 from repro.faults import sites
 from repro.faults.plan import Every, FaultEngine, FaultPlan, FaultSpec, Nth
-from repro.obs import prometheus_text
+from repro.obs import Probe, prometheus_text
 from repro.obs.registry import Registry
 from repro.sanitize.suite import SanitizerSuite
 
@@ -185,7 +185,9 @@ class TestExternalWakeSources:
 class TestFaults:
     def _engine(self, hybrid, specs):
         plan = FaultPlan(tuple(specs))
-        return ExecutionEngine(hybrid=hybrid, faults=FaultEngine(plan))
+        return ExecutionEngine(
+            hybrid=hybrid, probe=Probe(FaultEngine(plan))
+        )
 
     def test_dropped_kick_strands_units_until_watchdog(self):
         specs = [FaultSpec(sites.SCHED_WAKE, "drop", Nth(1))]
@@ -223,7 +225,7 @@ class TestFaults:
         assert dom.completed == 0
         assert engine.stats.abandoned == 1
         assert engine.stats.drops == MAX_REDELIVERIES
-        assert engine.faults.totals().fatal == 1
+        assert engine.probe.faults.totals().fatal == 1
 
     def test_recovery_is_recorded(self):
         specs = [FaultSpec(sites.SCHED_WAKE, "drop", Nth(1))]
@@ -231,7 +233,7 @@ class TestFaults:
         dom = engine.spawn()
         engine.post_work(dom.domid, 1, at_ns=0.0)
         engine.run_to_quiescence()
-        totals = engine.faults.totals()
+        totals = engine.probe.faults.totals()
         assert totals.retried == 1
         assert totals.recovered == 1
         assert totals.fatal == 0
@@ -241,7 +243,7 @@ class TestFaults:
 class TestSanitizerMirroring:
     def test_clean_run_has_no_findings(self):
         suite = SanitizerSuite()
-        engine = ExecutionEngine(sanitizer=suite)
+        engine = ExecutionEngine(probe=Probe(sanitizers=suite))
         for _ in range(3):
             engine.spawn()
         for domid in range(3):
@@ -254,9 +256,7 @@ class TestSanitizerMirroring:
     def test_dropped_kick_is_visible_to_the_checker(self):
         suite = SanitizerSuite()
         plan = FaultPlan((FaultSpec(sites.SCHED_WAKE, "drop", Nth(1)),))
-        engine = ExecutionEngine(
-            sanitizer=suite, faults=FaultEngine(plan)
-        )
+        engine = ExecutionEngine(probe=Probe(FaultEngine(plan), suite))
         dom = engine.spawn()
         engine.post_work(dom.domid, 1, at_ns=0.0)
         engine.run_to_quiescence()
@@ -338,7 +338,7 @@ class TestByteIdentity:
                 ),
             ))
             engine = ExecutionEngine(
-                hybrid=hybrid, faults=FaultEngine(plan)
+                hybrid=hybrid, probe=Probe(FaultEngine(plan))
             )
             for _ in range(6):
                 engine.spawn()
@@ -351,7 +351,7 @@ class TestByteIdentity:
         a, b = build(True), build(False)
         _assert_identical(a, b)
         # Fault accounting is part of the identity contract too.
-        assert a.faults.totals() == b.faults.totals()
+        assert a.probe.faults.totals() == b.probe.faults.totals()
 
     def test_hybrid_skips_polls_stepped_pays_them(self):
         engines = _pair()

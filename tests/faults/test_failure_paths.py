@@ -13,6 +13,7 @@ import pytest
 
 from repro.faults import sites
 from repro.faults.plan import Every, FaultPlan, FaultSpec, Nth
+from repro.obs import Probe
 from repro.xen.hypervisor import XenHypervisor
 from repro.xen.migration import LiveMigration, MigrationSession
 from repro.xen.remus import Epoch, FailoverError, RemusReplicator
@@ -22,10 +23,14 @@ def engine(*specs, seed=0):
     return FaultPlan(tuple(specs), seed).compile()
 
 
+def probe(*specs, seed=0):
+    return Probe(engine(*specs, seed=seed))
+
+
 class TestRemusUncommittedEpoch:
     def test_lost_ack_keeps_output_buffered(self):
         remus = RemusReplicator(
-            faults=engine(FaultSpec(sites.REMUS_ACK, "fail", Nth(2)))
+            probe=probe(FaultSpec(sites.REMUS_ACK, "fail", Nth(2)))
         )
         remus.run_epoch(Epoch(0, 100, 10))
         remus.run_epoch(Epoch(1, 100, 20))  # ack lost
@@ -36,7 +41,7 @@ class TestRemusUncommittedEpoch:
 
     def test_later_ack_releases_everything_up_to_itself(self):
         eng = engine(FaultSpec(sites.REMUS_ACK, "fail", Nth(2)))
-        remus = RemusReplicator(faults=eng)
+        remus = RemusReplicator(probe=Probe(eng))
         remus.run_epoch(Epoch(0, 100, 10))
         remus.run_epoch(Epoch(1, 100, 20))  # ack lost
         remus.run_epoch(Epoch(2, 100, 30))  # ack covers epochs 1 and 2
@@ -47,7 +52,7 @@ class TestRemusUncommittedEpoch:
 
     def test_failover_discards_uncommitted_never_releases(self):
         remus = RemusReplicator(
-            faults=engine(FaultSpec(sites.REMUS_ACK, "fail", Nth(2)))
+            probe=probe(FaultSpec(sites.REMUS_ACK, "fail", Nth(2)))
         )
         remus.run_epoch(Epoch(0, 100, 10))
         remus.run_epoch(Epoch(1, 100, 20))  # ack lost — uncommitted
@@ -60,7 +65,7 @@ class TestRemusUncommittedEpoch:
 
     def test_failover_without_any_checkpoint_refuses(self):
         remus = RemusReplicator(
-            faults=engine(FaultSpec(sites.REMUS_ACK, "fail", Every(1)))
+            probe=probe(FaultSpec(sites.REMUS_ACK, "fail", Every(1)))
         )
         remus.run_epoch(Epoch(0, 100, 10))  # never acked
         with pytest.raises(FailoverError):
@@ -75,7 +80,7 @@ class TestRemusUncommittedEpoch:
 
     def test_unacked_epoch_adds_output_latency(self):
         lossy = RemusReplicator(
-            faults=engine(FaultSpec(sites.REMUS_ACK, "fail", Nth(1)))
+            probe=probe(FaultSpec(sites.REMUS_ACK, "fail", Nth(1)))
         )
         clean = RemusReplicator()
         assert lossy.run_epoch(Epoch(0, 100, 10)) > clean.run_epoch(
@@ -84,21 +89,21 @@ class TestRemusUncommittedEpoch:
 
 
 class TestMigrationAbortLeavesSourceRunnable:
-    def _session(self, faults=None, **kwargs):
+    def _session(self, probe=None, **kwargs):
         xen = XenHypervisor()
         domain = xen.create_domain("mig")
         defaults = dict(
             memory_mb=64,
             dirty_rate_pages_s=10_000,
             downtime_budget_ms=5.0,
-            faults=faults,
+            probe=probe,
         )
         defaults.update(kwargs)
         return domain, MigrationSession(domain, LiveMigration(**defaults))
 
     def test_injected_abort_keeps_source_running(self):
         domain, session = self._session(
-            faults=engine(
+            probe=probe(
                 FaultSpec(sites.MIGRATION_ROUND, "abort", Nth(1))
             )
         )
@@ -136,7 +141,7 @@ class TestMigrationAbortLeavesSourceRunnable:
 
     def test_dirty_bursts_extend_but_do_not_break_convergence(self):
         _, lossy = self._session(
-            faults=engine(
+            probe=probe(
                 FaultSpec(
                     sites.MIGRATION_ROUND, "dirty", Every(1),
                     param=500.0, limit=3,

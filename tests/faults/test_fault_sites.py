@@ -1,7 +1,7 @@
 """Per-substrate injection hooks.
 
 For every substrate: the catalog entry is honest, the disabled hook
-(``faults=None``) is behaviour-identical to the pre-fault code, and each
+(``probe=None``) is behaviour-identical to the pre-fault code, and each
 supported fault kind does what its docstring says.
 """
 
@@ -10,6 +10,7 @@ import pytest
 from repro.faults import sites
 from repro.faults.plan import Every, FaultPlan, FaultSpec, Nth
 from repro.faults.retry import RetryExhausted, RetryPolicy
+from repro.obs import Probe
 from repro.perf.clock import SimClock
 from repro.xen.hypervisor import DomainKind, XenHypervisor
 
@@ -18,12 +19,17 @@ def engine(*specs, clock=None, seed=0):
     return FaultPlan(tuple(specs), seed).compile(clock)
 
 
+def probe(*specs, clock=None, seed=0):
+    return Probe(engine(*specs, clock=clock, seed=seed))
+
+
 class TestCatalog:
     def test_every_site_has_substrate_and_kinds(self):
         for name, info in sites.SITES.items():
             assert info.name == name
             assert name.startswith(info.substrate + ".")
-            assert info.kinds
+            # Fault sites name their kinds; every other site a subscriber.
+            assert info.kinds or info.sanitizer or info.trace or info.record
 
     def test_core_substrates_are_known(self):
         known = {info.substrate for info in sites.SITES.values()}
@@ -35,23 +41,23 @@ class TestCatalog:
 
 
 class TestEventChannels:
-    def make(self, faults=None):
+    def make(self, probe=None):
         from repro.xen.events import EventChannelTable
 
         clock = SimClock()
-        table = EventChannelTable(clock=clock, faults=faults)
+        table = EventChannelTable(clock=clock, probe=probe)
         hits = []
         port = table.bind(lambda: hits.append(1))
         return table, clock, port, hits
 
     def test_disabled_hook_is_noop(self):
-        enabled, _, port_e, _ = self.make(faults=None)
+        enabled, _, port_e, _ = self.make(probe=None)
         assert enabled.send(port_e) is True
         assert enabled.notifications_dropped == 0
 
     def test_drop_loses_the_notify(self):
         table, _, port, hits = self.make(
-            engine(FaultSpec(sites.EVENT_NOTIFY, "drop", Nth(1)))
+            probe(FaultSpec(sites.EVENT_NOTIFY, "drop", Nth(1)))
         )
         assert table.send(port) is False
         assert not table.evtchn_upcall_pending
@@ -61,7 +67,7 @@ class TestEventChannels:
 
     def test_delay_charges_param_then_delivers(self):
         table, clock, port, hits = self.make(
-            engine(
+            probe(
                 FaultSpec(sites.EVENT_NOTIFY, "delay", Nth(1), param=500.0)
             )
         )
@@ -76,9 +82,8 @@ class TestGrantTable:
     def test_map_fail_is_transient_and_typed(self):
         from repro.xen.grant_table import GrantMapError
 
-        xen = XenHypervisor()
-        xen.grants.faults = engine(
-            FaultSpec(sites.GRANT_MAP, "fail", Nth(1))
+        xen = XenHypervisor(
+            probe=probe(FaultSpec(sites.GRANT_MAP, "fail", Nth(1)))
         )
         ref = xen.grants.grant_access(1, 0x1000)
         with pytest.raises(GrantMapError):
@@ -90,9 +95,8 @@ class TestGrantTable:
     def test_copy_fail_and_success_accounting(self):
         from repro.xen.grant_table import GrantCopyError
 
-        xen = XenHypervisor()
-        xen.grants.faults = engine(
-            FaultSpec(sites.GRANT_COPY, "fail", Nth(1))
+        xen = XenHypervisor(
+            probe=probe(FaultSpec(sites.GRANT_COPY, "fail", Nth(1)))
         )
         ref = xen.grants.grant_access(1, 0x1000)
         with pytest.raises(GrantCopyError):
@@ -102,7 +106,7 @@ class TestGrantTable:
 
 
 class TestNetDriver:
-    def make(self, faults=None, retry=None):
+    def make(self, probe=None, retry=None):
         from repro.xen.drivers import SplitNetDriver
         from repro.xen.events import EventChannelTable
 
@@ -112,18 +116,18 @@ class TestNetDriver:
         events = EventChannelTable(xen.costs, xen.clock)
         driver = SplitNetDriver(
             guest, backend, xen.grants, events, xen.costs, xen.clock,
-            faults=faults, retry=retry,
+            probe=probe, retry=retry,
         )
         return driver
 
     def test_disabled_hook_same_cost(self):
         plain = self.make()
-        hooked = self.make(faults=None)
+        hooked = self.make(probe=None)
         assert plain.transmit(1000) == hooked.transmit(1000)
 
     def test_kill_triggers_reconnect_and_success(self):
         driver = self.make(
-            faults=engine(FaultSpec(sites.NET_BACKEND, "kill", Nth(1)))
+            probe=probe(FaultSpec(sites.NET_BACKEND, "kill", Nth(1)))
         )
         driver.transmit(1000)
         assert driver.stats.backend_deaths == 1
@@ -133,7 +137,7 @@ class TestNetDriver:
 
     def test_persistent_kill_exhausts_retry(self):
         driver = self.make(
-            faults=engine(FaultSpec(sites.NET_BACKEND, "kill", Every(1))),
+            probe=probe(FaultSpec(sites.NET_BACKEND, "kill", Every(1))),
             retry=RetryPolicy(max_attempts=3),
         )
         with pytest.raises(RetryExhausted):
@@ -142,7 +146,7 @@ class TestNetDriver:
 
     def test_ring_stall_charges_extra(self):
         stalled = self.make(
-            faults=engine(
+            probe=probe(
                 FaultSpec(sites.NET_RING, "stall", Nth(1), param=4.0)
             )
         )
@@ -152,18 +156,18 @@ class TestNetDriver:
 
 
 class TestBlkDriver:
-    def make(self, faults=None, retry=None):
+    def make(self, probe=None, retry=None):
         from repro.xen.blkdev import BlockStore, SplitBlockDriver
 
         return SplitBlockDriver(
-            BlockStore(64), clock=SimClock(), faults=faults, retry=retry
+            BlockStore(64), clock=SimClock(), probe=probe, retry=retry
         )
 
     def test_kill_never_tears_a_write(self):
         from repro.xen.blkdev import SECTOR_SIZE
 
         driver = self.make(
-            faults=engine(FaultSpec(sites.BLK_BACKEND, "kill", Nth(1)))
+            probe=probe(FaultSpec(sites.BLK_BACKEND, "kill", Nth(1)))
         )
         driver.write(0, b"\xaa" * SECTOR_SIZE * 4)
         assert driver.stats.backend_deaths == 1
@@ -172,7 +176,7 @@ class TestBlkDriver:
 
     def test_stall_charges_latency(self):
         driver = self.make(
-            faults=engine(
+            probe=probe(
                 FaultSpec(sites.BLK_BACKEND, "stall", Nth(1), param=10.0)
             )
         )
@@ -191,7 +195,7 @@ class TestToolstack:
 
         xen = XenHypervisor()
         toolstack = Toolstack(
-            xen, faults=engine(FaultSpec(sites.TOOLSTACK_SPAWN, "timeout", Nth(1)))
+            xen, probe=probe(FaultSpec(sites.TOOLSTACK_SPAWN, "timeout", Nth(1)))
         )
         baseline = xen.used_memory_mb
         creation = toolstack.create("xc0", memory_mb=256, full_vm_boot=False)
@@ -206,7 +210,7 @@ class TestToolstack:
         xen = XenHypervisor()
         toolstack = Toolstack(
             xen,
-            faults=engine(FaultSpec(sites.TOOLSTACK_SPAWN, "timeout", Every(1))),
+            probe=probe(FaultSpec(sites.TOOLSTACK_SPAWN, "timeout", Every(1))),
         )
         baseline = xen.used_memory_mb
         with pytest.raises(RetryExhausted):
@@ -221,7 +225,7 @@ class TestScheduler:
         from repro.xen.scheduler import CreditScheduler
 
         scheduler = CreditScheduler(
-            4, faults=engine(FaultSpec(sites.VCPU, "stall", Nth(1)))
+            4, probe=probe(FaultSpec(sites.VCPU, "stall", Nth(1)))
         )
         for domid in (1, 2):
             scheduler.add_vcpu(domid)
@@ -236,7 +240,7 @@ class TestScheduler:
 
         stormy = CreditScheduler(
             2,
-            faults=engine(
+            probe=probe(
                 FaultSpec(sites.VCPU, "storm", Nth(1), param=10.0)
             ),
         )
@@ -251,12 +255,12 @@ class TestScheduler:
 
 
 class TestNetstack:
-    def make(self, faults=None, retry=None):
+    def make(self, probe=None, retry=None):
         from repro.guest.netstack import NetDevice, NetStack
 
         kwargs = {"device": NetDevice.NETFRONT}
-        if faults is not None:
-            kwargs["faults"] = faults
+        if probe is not None:
+            kwargs["probe"] = probe
         if retry is not None:
             kwargs["retry"] = retry
         return NetStack(**kwargs)
@@ -264,11 +268,11 @@ class TestNetstack:
     def test_disabled_hook_same_cost(self):
         assert self.make().request_response_cost_ns(
             100, 1000
-        ) == self.make(faults=None).request_response_cost_ns(100, 1000)
+        ) == self.make(probe=None).request_response_cost_ns(100, 1000)
 
     def test_drop_costs_a_retransmission(self):
         lossy = self.make(
-            faults=engine(FaultSpec(sites.NET_PACKET, "drop", Nth(1)))
+            probe=probe(FaultSpec(sites.NET_PACKET, "drop", Nth(1)))
         )
         clean = self.make()
         assert lossy.request_response_cost_ns(
@@ -280,7 +284,7 @@ class TestNetstack:
         from repro.guest.netstack import NetstackTimeout
 
         lossy = self.make(
-            faults=engine(FaultSpec(sites.NET_PACKET, "drop", Every(1))),
+            probe=probe(FaultSpec(sites.NET_PACKET, "drop", Every(1))),
             retry=RetryPolicy(max_attempts=3),
         )
         with pytest.raises(NetstackTimeout):
@@ -288,7 +292,7 @@ class TestNetstack:
 
     def test_duplicate_and_reorder_cost_but_recover(self):
         stack = self.make(
-            faults=engine(
+            probe=probe(
                 FaultSpec(sites.NET_PACKET, "duplicate", Nth(1)),
                 FaultSpec(sites.NET_PACKET, "reorder", Nth(2)),
             )
@@ -305,7 +309,7 @@ class TestAbom:
         from repro.core import CountingServices, XContainer
 
         eng = engine(FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(1)))
-        xc = XContainer(CountingServices(), faults=eng)
+        xc = XContainer(CountingServices(), probe=Probe(eng))
         asm = Assembler()
         asm.mov_imm32(Reg.RBX, 3)
         asm.label("loop")
@@ -325,7 +329,7 @@ class TestAbom:
         from repro.core import CountingServices, XContainer
 
         eng = engine(FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(2)))
-        xc = XContainer(CountingServices(), faults=eng)
+        xc = XContainer(CountingServices(), probe=Probe(eng))
         asm = Assembler()
         asm.mov_imm32(Reg.RBX, 4)
         asm.label("loop")

@@ -156,17 +156,19 @@ class TestEngine:
         assert other.specs == base.specs and other.seed == 2
 
     def test_fault_events_reach_tracer(self):
-        from repro.obs import Tracer
+        from repro.obs import Probe, Tracer
 
         clock = SimClock()
         tracer = Tracer(clock)
         engine = plan(
             FaultSpec(sites.EVENT_NOTIFY, "drop", Nth(1))
-        ).compile(clock, tracer=tracer)
-        engine.fire(sites.EVENT_NOTIFY, port=4)
-        engine.record_retry(sites.EVENT_NOTIFY)
-        engine.record_recovered(sites.EVENT_NOTIFY)
-        engine.record_fatal(sites.EVENT_NOTIFY)
+        ).compile(clock)
+        probe = Probe(engine, tracer=tracer)
+        probe.fire(sites.EVENT_NOTIFY, port=4)
+        for lifecycle in (
+            sites.RETRIED, sites.RECOVERED, sites.FATAL
+        ):
+            probe.fire(lifecycle, site=sites.EVENT_NOTIFY)
         names = [e.name for e in tracer.events("fault")]
         assert names == ["injected", "retried", "recovered", "fatal"]
         assert tracer.events("fault")[0].detail["site"] == sites.EVENT_NOTIFY

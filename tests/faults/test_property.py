@@ -12,6 +12,7 @@ from repro.faults import sites
 from repro.faults.plan import Every, FaultPlan, FaultSpec, Probability
 from repro.faults.retry import RetryPolicy
 from repro.faults.report import run_scenarios
+from repro.obs import Probe
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -53,7 +54,7 @@ class TestSubBudgetLossProperty:
         ).compile()
         stack = NetStack(
             device=NetDevice.NETFRONT,
-            faults=engine,
+            probe=Probe(engine),
             retry=RetryPolicy(max_attempts=10),
         )
         for _ in range(requests):
@@ -90,7 +91,7 @@ class TestSubBudgetLossProperty:
         events = EventChannelTable(xen.costs, xen.clock)
         driver = SplitNetDriver(
             guest, backend, xen.grants, events, xen.costs, xen.clock,
-            faults=engine,
+            probe=Probe(engine),
         )
         for _ in range(60):
             driver.transmit(1000)

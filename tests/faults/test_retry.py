@@ -5,6 +5,7 @@ import pytest
 from repro.faults import sites
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryExhausted, RetryPolicy
+from repro.obs import Probe
 from repro.perf.clock import SimClock
 
 
@@ -87,7 +88,7 @@ class TestRun:
     def test_lifecycle_recorded_on_recovery(self):
         eng = engine()
         RetryPolicy().run(
-            Flaky(2), OSError, faults=eng, site=sites.NET_BACKEND
+            Flaky(2), OSError, probe=Probe(eng), site=sites.NET_BACKEND
         )
         counters = eng.counters[sites.NET_BACKEND]
         assert counters.retried == 2
@@ -98,7 +99,7 @@ class TestRun:
         eng = engine()
         with pytest.raises(RetryExhausted):
             RetryPolicy(max_attempts=2).run(
-                Flaky(5), OSError, faults=eng, site=sites.NET_BACKEND
+                Flaky(5), OSError, probe=Probe(eng), site=sites.NET_BACKEND
             )
         counters = eng.counters[sites.NET_BACKEND]
         assert counters.retried == 1
@@ -107,7 +108,7 @@ class TestRun:
 
     def test_no_lifecycle_noise_on_clean_success(self):
         eng = engine()
-        RetryPolicy().run(Flaky(0), OSError, faults=eng, site="x")
+        RetryPolicy().run(Flaky(0), OSError, probe=Probe(eng), site="x")
         assert eng.totals().retried == 0
         assert eng.totals().recovered == 0
 

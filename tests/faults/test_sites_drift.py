@@ -1,9 +1,10 @@
 """The fault-site drift check: catalog entries must stay wired.
 
-``repro.faults.sites`` cross-checks every catalog entry against its
-substrate's source at import time and refuses to import on drift, so a
-renamed constant or a deleted ``faults.fire(...)`` call fails the build
-instead of silently turning a chaos scenario into a no-op.
+``repro.faults.sites`` cross-checks every catalog entry — fault,
+lifecycle, sanitizer and trace sites alike — against its substrate's
+source at import time and refuses to import on drift, so a renamed
+constant or a deleted ``probe.fire(...)`` call fails the build instead
+of silently turning a chaos scenario or a sanitizer into a no-op.
 """
 
 import pytest
@@ -28,6 +29,18 @@ class TestCatalogIsLive:
     def test_every_site_exports_a_constant(self):
         constants = sites._constant_names()
         assert sorted(constants) == sorted(SITES)
+
+    def test_catalog_holds_every_probe_site_family(self):
+        families = {
+            "fault": [n for n, i in SITES.items() if i.kinds],
+            "lifecycle": [n for n, i in SITES.items() if i.record],
+            "sanitizer": [n for n, i in SITES.items() if i.sanitizer],
+            "trace": [
+                n for n, i in SITES.items() if i.trace and not i.record
+            ],
+        }
+        assert all(families.values())
+        assert sum(map(len, families.values())) == len(SITES)
 
 
 class TestDriftIsDetected:
@@ -65,7 +78,19 @@ class TestDriftIsDetected:
         )
         assert problems == [
             "xen.events.phantom: xen.events never references "
-            "fault_sites.PHANTOM_SITE"
+            "sites.PHANTOM_SITE"
+        ]
+
+    def test_unfired_sanitizer_event_is_reported(self, monkeypatch):
+        problems = self._with_site(
+            monkeypatch,
+            SiteInfo("xen.events.phantom", "xen.events", (), "x",
+                     sanitizer="on_event_send"),
+            constant="PHANTOM_EVENT",
+        )
+        assert problems == [
+            "xen.events.phantom: xen.events never references "
+            "sites.PHANTOM_EVENT"
         ]
 
     def test_drift_descriptions_are_sorted_by_site(self, monkeypatch):

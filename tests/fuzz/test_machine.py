@@ -77,8 +77,10 @@ class TestDefectSelfFinding:
         _, steps = loads(report.steps_json)
         assert {one.op for one in steps} >= {"fleet_spawn", "fleet_post"}
 
-    def test_same_seed_finds_the_same_counterexample(self):
-        first = run_fuzz(
+    def test_same_seed_finds_the_same_counterexample(self, fuzz_search):
+        # Two independent searches: the session's shared one and a fresh
+        # one.
+        first = fuzz_search(
             seed=7, max_examples=15, steps=15, defect="blk-lost-write"
         )
         second = run_fuzz(
@@ -87,8 +89,8 @@ class TestDefectSelfFinding:
         assert first.steps_json == second.steps_json
         assert first.replay_trace == second.replay_trace
 
-    def test_reported_replay_trace_matches_fresh_replay(self):
-        report = run_fuzz(
+    def test_reported_replay_trace_matches_fresh_replay(self, fuzz_search):
+        report = fuzz_search(
             seed=7, max_examples=15, steps=15, defect="blk-lost-write"
         )
         _, steps = loads(report.steps_json)
@@ -114,8 +116,8 @@ class TestReportSurface:
         assert "result: clean" in text
         assert report.as_dict()["ok"] is True
 
-    def test_failure_report_includes_steps_json(self):
-        report = run_fuzz(
+    def test_failure_report_includes_steps_json(self, fuzz_search):
+        report = fuzz_search(
             seed=7, max_examples=15, steps=15, defect="blk-lost-write"
         )
         text = report.render()

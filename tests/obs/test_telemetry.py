@@ -16,13 +16,14 @@ from repro.xen.events import EventChannelTable
 from repro.xen.hypervisor import DomainKind, XenHypervisor
 
 
-def make_net_driver():
+def make_net_driver(probe=None):
     xen = XenHypervisor()
     guest = xen.create_domain("guest")
     backend = xen.create_domain("backend", DomainKind.DRIVER)
     events = EventChannelTable(xen.costs, xen.clock)
     return SplitNetDriver(
-        guest, backend, xen.grants, events, xen.costs, xen.clock
+        guest, backend, xen.grants, events, xen.costs, xen.clock,
+        probe=probe,
     )
 
 
@@ -77,13 +78,16 @@ class TestContainerTelemetry:
         from repro.faults import sites
         from repro.faults.plan import FaultPlan, FaultSpec, Nth
 
-        engine = FaultPlan(
-            (FaultSpec(sites.NET_BACKEND, "kill", Nth(1)),), seed=3
-        ).compile()
-        xc = XContainer(CountingServices(), faults=engine)
+        from repro.obs import Probe
+
+        probe = Probe(
+            FaultPlan(
+                (FaultSpec(sites.NET_BACKEND, "kill", Nth(1)),), seed=3
+            ).compile()
+        )
+        xc = XContainer(CountingServices(), probe=probe)
         xc.run(build_syscall_bench(5))
-        net = make_net_driver()
-        net.faults = engine
+        net = make_net_driver(probe)
         net.transmit(100)
         xc.attach_io_driver("eth0", net)
         tel = xc.telemetry()

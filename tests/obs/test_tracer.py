@@ -1,5 +1,5 @@
 """The flat instant-event ring: recording, bounds, rendering, and what
-``XContainer.attach_tracer`` routes into it."""
+a container's :class:`~repro.obs.probe.Probe` routes into it."""
 
 import warnings
 
@@ -7,8 +7,17 @@ import pytest
 
 from repro.arch import Assembler, Reg
 from repro.core import CountingServices, XContainer
-from repro.obs import TraceEvent, Tracer
+from repro.obs import Probe, TraceEvent, Tracer
 from repro.perf.clock import SimClock
+
+
+def traced_container(faults=None):
+    tracer = Tracer(SimClock())
+    xc = XContainer(
+        CountingServices(), clock=tracer.clock,
+        probe=Probe(faults, tracer=tracer),
+    )
+    return xc, tracer
 
 
 class TestTracer:
@@ -81,9 +90,7 @@ class TestTracer:
 
 class TestContainerTracing:
     def test_syscall_lifecycle_visible(self):
-        xc = XContainer(CountingServices())
-        tracer = Tracer(xc.clock)
-        xc.attach_tracer(tracer)
+        xc, tracer = traced_container()
         asm = Assembler()
         asm.mov_imm32(Reg.RBX, 5)
         asm.label("loop")
@@ -99,18 +106,17 @@ class TestContainerTracing:
         (patch,) = tracer.events("abom", "patch")
         assert patch.detail["site"] > 0x400000
 
-    def test_fault_lifecycle_visible_through_attach_tracer(self):
-        """Chaos runs are capturable: ``xc.attach_tracer`` wires the
-        fault engine's injected/retried/recovered events in too."""
+    def test_fault_lifecycle_visible_through_the_probe(self):
+        """Chaos runs are capturable: the container's probe routes the
+        fault engine's injected/retried/recovered events to its tracer
+        too."""
         from repro.faults import sites
         from repro.faults.plan import FaultPlan, FaultSpec, Nth
 
         engine = FaultPlan(
             (FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(1)),), 0
         ).compile()
-        xc = XContainer(CountingServices(), faults=engine)
-        tracer = Tracer(xc.clock)
-        xc.attach_tracer(tracer)
+        xc, tracer = traced_container(engine)
         asm = Assembler()
         asm.mov_imm32(Reg.RBX, 3)
         asm.label("loop")
@@ -126,9 +132,7 @@ class TestContainerTracing:
         assert injected.detail["site"] == sites.ABOM_CMPXCHG
 
     def test_unrecognized_sites_traced(self):
-        xc = XContainer(CountingServices())
-        tracer = Tracer(xc.clock)
-        xc.attach_tracer(tracer)
+        xc, tracer = traced_container()
         asm = Assembler()
         asm.syscall_site(39, style="cancellable")
         asm.hlt()

@@ -15,6 +15,7 @@ from repro.arch.assembler import Assembler
 from repro.arch.registers import Reg
 from repro.core.xcontainer import XContainer
 from repro.core.xlibos import CountingServices
+from repro.obs import Probe
 from repro.sanitize import SanitizerSuite
 
 OPS = st.lists(
@@ -52,7 +53,8 @@ class TestSanitizerNeutrality:
 
         def run(sanitized):
             suite = SanitizerSuite() if sanitized else None
-            xc = XContainer(CountingServices(), sanitizers=suite)
+            probe = Probe(sanitizers=suite) if sanitized else None
+            xc = XContainer(CountingServices(), probe=probe)
             result = xc.run(binary)
             if sanitized:
                 suite.finish()
@@ -93,18 +95,15 @@ class TestSanitizerNeutrality:
 
         def run(sanitized):
             suite = SanitizerSuite() if sanitized else None
+            probe = Probe(sanitizers=suite) if sanitized else None
             clock = SimClock()
-            xen = XenHypervisor(clock=clock)
-            if sanitized:
-                xen.grants.sanitizer = suite
+            xen = XenHypervisor(clock=clock, probe=probe)
             guest = xen.create_domain("guest")
             backend = xen.create_domain("backend", DomainKind.DRIVER)
-            events = EventChannelTable(
-                xen.costs, clock, sanitizer=suite
-            )
+            events = EventChannelTable(xen.costs, clock, probe=probe)
             net = SplitNetDriver(
                 guest, backend, xen.grants, events, xen.costs, clock,
-                sanitizer=suite,
+                probe=probe,
             )
             costs = [net.transmit_batch(train) for train in trains]
             net.close()

@@ -128,12 +128,15 @@ class TestRunSanitize:
 class TestSuiteWiring:
     def test_detach_removes_exactly_the_suite_observers(self):
         from repro.core import CountingServices, XContainer
+        from repro.obs import Probe
 
         baseline = XContainer(CountingServices(results={}))
         plain_writes = len(baseline.memory._write_observers)
 
         suite = SanitizerSuite()
-        xc = XContainer(CountingServices(results={}), sanitizers=suite)
+        xc = XContainer(
+            CountingServices(results={}), probe=Probe(sanitizers=suite)
+        )
         assert len(xc.memory._write_observers) == plain_writes + 1
         assert len(xc.memory._lock_observers) == 1
         suite.detach()
@@ -153,11 +156,11 @@ class TestSuiteWiring:
         from repro.obs.registry import Registry
 
         suite = SanitizerSuite()
-        name = suite.ring_register("t", 4, 16)
-        suite.ring_batch_start(name, "a")
-        suite.ring_publish(name, "a")
-        suite.ring_kick(name, "a")
-        suite.ring_reap(name, "b", 1)
+        name = suite.ring_register("t", 4, 16, producer="a", consumer="b")
+        suite.ring_batch_start(name)
+        suite.ring_publish(name)
+        suite.ring_kick(name)
+        suite.ring_reap(name, 1)
         registry = Registry()
         suite.bind_telemetry(registry)
         assert registry.value("sanitize_ring_publishes_total") == 1

@@ -11,13 +11,26 @@ from repro.cli import build_parser, main
 #: ``PYTHONPATH=src python -m repro chaos --seed 0 --format json | python
 #: -c "import json,sys; print(json.dumps(json.load(sys.stdin),
 #: separators=(',', ':'), sort_keys=True))" > tests/golden/chaos_seed0.json``
-#: (likewise ``analyze --format json`` into ``analyze.json``).
+#: (likewise ``analyze --format json`` into ``analyze.json``, ``sanitize
+#: --seed 0 --format json`` into ``sanitize_seed0.json`` and ``sanitize
+#: fixtures --format json`` into ``sanitize_fixtures.json``).  Text
+#: outputs (``replay_*.txt``, from ``chaos --replay
+#: tests/faults/regressions/<name>.json``) are stored verbatim.
 GOLDEN = Path(__file__).parent / "golden"
+REGRESSIONS = Path(__file__).parent / "faults" / "regressions"
 
 
 def golden(name):
     data = json.loads((GOLDEN / name).read_text())
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def shared_fuzz(monkeypatch, fuzz_search):
+    """``repro fuzz`` answered from the session's shared searches."""
+    import repro.fuzz.machine
+
+    monkeypatch.setattr(repro.fuzz.machine, "run_fuzz", fuzz_search)
 
 
 class TestCli:
@@ -173,6 +186,15 @@ class TestChaosCommand:
         with pytest.raises(ValueError, match="version"):
             main(["chaos", "--replay", str(path)])
 
+    def test_json_format_names_the_selected_scenario(self, capsys):
+        assert main(
+            ["chaos", "nginx-packet-loss", "--seed", "3",
+             "--format", "json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["all_recovered"] is True
+        assert payload["scenarios"][0]["name"] == "nginx-packet-loss"
+
 
 class TestFuzzCommand:
     def test_clean_bounded_run_exits_zero(self, capsys):
@@ -193,7 +215,7 @@ class TestFuzzCommand:
         assert payload["rules"] >= 8
         assert payload["invariants"] >= 5
 
-    def test_seeded_defect_is_found_and_exits_one(self, capsys):
+    def test_seeded_defect_is_found_and_exits_one(self, shared_fuzz, capsys):
         assert main(
             ["fuzz", "--seed", "7", "--max-examples", "15", "--steps", "15",
              "--defect", "blk-lost-write"]
@@ -203,7 +225,9 @@ class TestFuzzCommand:
         assert "replay byte-identical" in out
         assert '"op": "blk_burst"' in out
 
-    def test_fuzz_steps_feed_chaos_replay(self, tmp_path, capsys):
+    def test_fuzz_steps_feed_chaos_replay(
+        self, shared_fuzz, tmp_path, capsys
+    ):
         assert main(
             ["fuzz", "--seed", "7", "--max-examples", "15", "--steps", "15",
              "--defect", "blk-lost-write", "--format", "json"]
@@ -220,14 +244,43 @@ class TestFuzzCommand:
         out = capsys.readouterr().out
         assert "fuzz: no invariant violation found" in out
 
-    def test_json_format(self, capsys):
-        assert main(
-            ["chaos", "nginx-packet-loss", "--seed", "3",
-             "--format", "json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["all_recovered"] is True
-        assert payload["scenarios"][0]["name"] == "nginx-packet-loss"
+
+class TestCountArguments:
+    """Counts that must be positive are argparse usage errors (exit 2),
+    never a traceback, a budget spin or a silent fallback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--max-examples", "0"],
+            ["fuzz", "--steps", "-1"],
+            ["metrics", "--requests", "0"],
+            ["trace", "--requests", "0"],
+            ["abom-demo", "--iterations", "0"],
+            ["abom-demo", "--iterations", "-2"],
+            ["serve", "--workers", "0"],
+            ["serve", "--workers", "-3"],
+        ],
+    )
+    def test_non_positive_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, dest, value",
+        [
+            (["fuzz", "--max-examples", "1"], "max_examples", 1),
+            (["fuzz", "--steps", "3"], "steps", 3),
+            (["metrics", "--requests", "1"], "requests", 1),
+            (["trace", "--requests", "2"], "requests", 2),
+            (["abom-demo", "--iterations", "1"], "iterations", 1),
+            (["serve", "--workers", "1"], "workers", 1),
+        ],
+    )
+    def test_positive_count_is_accepted(self, argv, dest, value):
+        assert getattr(build_parser().parse_args(argv), dest) == value
 
 
 class TestSharedOutputSurface:
@@ -265,9 +318,13 @@ class TestSharedOutputSurface:
 
 
 class TestGoldenOutputs:
-    """The two reports whose checks read flat ``Tracer`` events: the
-    abom-contention fault-event check (chaos) and the online-vs-offline
-    ABOM differential (analyze)."""
+    """Reports whose bytes pin every probe subscriber: the chaos and
+    analyze reports read flat ``Tracer`` events (the abom-contention
+    fault-event check, the online-vs-offline ABOM differential); the
+    sanitize reports pin every sanitizer event count (event sends and
+    drops, ring consumes, grant maps, race edges) and that each seeded
+    fixture still fires; the replays pin the fuzz world's fault and
+    sanitizer wiring."""
 
     def test_chaos_seed0_json_is_byte_identical(self, capsys):
         assert main(["chaos", "--seed", "0", "--format", "json"]) == 0
@@ -278,6 +335,23 @@ class TestGoldenOutputs:
         assert main(["analyze", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert out == golden("analyze.json")
+
+    def test_sanitize_seed0_json_is_byte_identical(self, capsys):
+        assert main(["sanitize", "--seed", "0", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == golden("sanitize_seed0.json")
+
+    def test_sanitize_fixtures_json_is_byte_identical(self, capsys):
+        assert main(["sanitize", "fixtures", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == golden("sanitize_fixtures.json")
+
+    @pytest.mark.parametrize("name", ["blk_lost_write", "fleet_skew"])
+    def test_regression_replay_is_byte_identical(self, name, capsys):
+        path = REGRESSIONS / f"{name}.json"
+        assert main(["chaos", "--replay", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"replay_{name}.txt").read_text()
 
 
 class TestMetricsCommand:

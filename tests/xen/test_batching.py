@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.faults import sites
 from repro.faults.plan import Every, FaultPlan, FaultSpec, Probability
+from repro.obs import Probe
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 from repro.xen.blkdev import BlockStore, SplitBlockDriver
@@ -26,11 +27,12 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def make_net_driver(faults=None, costs=None):
+    probe = Probe(faults) if faults is not None else None
     xen = XenHypervisor()
     guest = xen.create_domain("guest")
     backend = xen.create_domain("backend", DomainKind.DRIVER)
     clock = xen.clock
-    events = EventChannelTable(costs or xen.costs, clock, faults=faults)
+    events = EventChannelTable(costs or xen.costs, clock, probe=probe)
     driver = SplitNetDriver(
         guest,
         backend,
@@ -38,7 +40,7 @@ def make_net_driver(faults=None, costs=None):
         events,
         costs or xen.costs,
         clock,
-        faults=faults,
+        probe=probe,
     )
     return driver, clock
 
@@ -133,7 +135,7 @@ class TestEventBatchScope:
                 seed=7,
             ).compile()
             clock = SimClock()
-            events = EventChannelTable(CostModel(), clock, faults=engine)
+            events = EventChannelTable(CostModel(), clock, probe=Probe(engine))
             port = events.bind(lambda: None)
             if in_scope:
                 with events.batch():
@@ -152,7 +154,7 @@ class TestEventBatchScope:
         engine = FaultPlan(
             (FaultSpec(sites.EVENT_NOTIFY, "drop", Every(1)),), seed=1
         ).compile()
-        events = EventChannelTable(faults=engine)
+        events = EventChannelTable(probe=Probe(engine))
         hits = []
         port = events.bind(lambda: hits.append(1))
         with events.batch():
@@ -163,7 +165,8 @@ class TestEventBatchScope:
 
 class TestGrantCopyBatch:
     def make(self, faults=None):
-        grants = GrantTable(HypercallTable(), faults=faults)
+        probe = Probe(faults) if faults is not None else None
+        grants = GrantTable(HypercallTable(), probe=probe)
         ref = grants.grant_access(owner_domid=1, page_addr=0x1000)
         grants.map_grant(ref, mapper_domid=0)
         return grants, ref
@@ -291,9 +294,8 @@ class TestTransmitBatch:
 class TestBlockBatch:
     def make(self, faults=None):
         clock = SimClock()
-        driver = SplitBlockDriver(
-            BlockStore(1024), clock=clock, faults=faults
-        )
+        probe = Probe(faults) if faults is not None else None
+        driver = SplitBlockDriver(BlockStore(1024), clock=clock, probe=probe)
         return driver, clock
 
     def test_write_many_read_many_roundtrip(self):
@@ -420,8 +422,8 @@ class TestBatchedUnbatchedEquivalence:
         assert clock_s.now_ns == clock_b.now_ns
         assert single.stats == batched.stats
         assert (
-            single.faults.totals().fatal
-            == batched.faults.totals().fatal
+            single.probe.faults.totals().fatal
+            == batched.probe.faults.totals().fatal
             == 0
         )
 
@@ -452,8 +454,8 @@ class TestBatchedUnbatchedEquivalence:
         assert unbatched.stats.bytes_moved == batched.stats.bytes_moved
         assert unbatched.stats.requests == batched.stats.requests
         assert unbatched.stats.responses == batched.stats.responses
-        assert batched.faults.totals().fatal == 0
-        assert unbatched.faults.totals().fatal == 0
+        assert batched.probe.faults.totals().fatal == 0
+        assert unbatched.probe.faults.totals().fatal == 0
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -477,10 +479,10 @@ class TestBatchedUnbatchedEquivalence:
             seed,
         )
         a = SplitBlockDriver(
-            BlockStore(64), clock=SimClock(), faults=plan.compile()
+            BlockStore(64), clock=SimClock(), probe=Probe(plan.compile())
         )
         b = SplitBlockDriver(
-            BlockStore(64), clock=SimClock(), faults=plan.compile()
+            BlockStore(64), clock=SimClock(), probe=Probe(plan.compile())
         )
         for sector, data in writes:
             a.write(sector, data)
@@ -488,5 +490,5 @@ class TestBatchedUnbatchedEquivalence:
             b.write_many(writes[i : i + split])
         for sector, _ in writes:
             assert a.read(sector) == b.read(sector)
-        assert a.faults.totals().fatal == 0
-        assert b.faults.totals().fatal == 0
+        assert a.probe.faults.totals().fatal == 0
+        assert b.probe.faults.totals().fatal == 0

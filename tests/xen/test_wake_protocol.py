@@ -11,6 +11,7 @@ parked domain fast-forward to exactly the moment its I/O completes.
 from repro.core.engine import ExecutionEngine
 from repro.faults.plan import Every, FaultEngine, FaultPlan, FaultSpec
 from repro.faults import sites
+from repro.obs import Probe
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 from repro.xen.blkdev import SECTOR_SIZE, BlockStore, SplitBlockDriver
@@ -52,7 +53,7 @@ class TestEventChannelWaker:
             (FaultSpec(sites.EVENT_NOTIFY, "drop", Every(1)),)
         )
         table = EventChannelTable(
-            CostModel(), SimClock(), faults=FaultEngine(plan)
+            CostModel(), SimClock(), probe=Probe(FaultEngine(plan))
         )
         waker = _RecordingWaker()
         table.waker = waker
