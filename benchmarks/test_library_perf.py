@@ -3,9 +3,9 @@
 Unlike the figure benchmarks — which regenerate *simulated* results once —
 these measure the library's own speed: interpreter throughput with and
 without the basic-block decode cache, ABOM patch rate, syscall dispatch,
-and the functional HTTP stack.  Useful for catching performance
-regressions in the reproduction itself.  Each benchmark records its
-ops/sec (and cache hit rate where applicable) into
+container boot, and the functional HTTP stack.  Useful for catching
+performance regressions in the reproduction itself.  Each benchmark
+records its ops/sec (and cache hit rate where applicable) into
 ``BENCH_interpreter.json`` via the ``record_rate`` fixture.
 """
 
@@ -166,6 +166,19 @@ def test_syscall_dispatch_rate(benchmark, record_rate):
             "invalidations": int(tel.value("arch_trace_invalidations_total")),
         },
     )
+
+
+def test_container_boot_rate(benchmark, record_rate):
+    """X-Container boots per second: address space, X-LibOS with its
+    vsyscall table, one vCPU with the entry stubs and a stack.  The
+    dispatch row above keeps its boot inside the timed round."""
+
+    def run():
+        XContainer(CountingServices())
+        return 1
+
+    assert benchmark(run) == 1
+    record_rate(benchmark, 1)
 
 
 def test_functional_http_request_rate(benchmark, record_rate):

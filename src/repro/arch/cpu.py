@@ -372,6 +372,9 @@ class CPU:
         self.instruction_ns = instruction_ns
         self.trap_handler: Optional[TrapHandler] = None
         self.native_stubs: dict[int, NativeStub] = {}
+        #: ``libos_entry(cpu, nr)``: the lightweight syscall entry the
+        #: shared vsyscall stubs call (set by ``VsyscallPage.attach``).
+        self.libos_entry: Optional[Callable[["CPU", int], None]] = None
         self.instructions_retired = 0
         self.halted = False
         #: Optional :class:`repro.obs.probe.Probe` (decode, trace compile).
@@ -637,7 +640,7 @@ class CPU:
                     f"instruction budget exhausted ({max_instructions})"
                 )
             rip = regs.rip
-            if rip in traces and tc.execute(rip, limit - retired):
+            if rip in traces and tc.execute(self, rip, limit - retired):
                 continue
             stub = stubs.get(rip)
             if stub is not None:

@@ -26,6 +26,9 @@ Two kinds of observer hang off the store path:
   push to the stack (which never holds decoded code) costs no callback.
   Re-flagging a page (:meth:`PagedMemory.map_region`,
   :meth:`PagedMemory.set_page_flags`) notifies them unconditionally.
+  A bound-method observer is held weakly: the CPU owns its memory, and
+  the memory must not own the CPU back, or every dropped container
+  would wait for the cyclic garbage collector.
 * **write observers** — generic listeners such as the sanitizer's; they
   see every store.
 
@@ -37,7 +40,9 @@ it, callers pass it in).
 
 from __future__ import annotations
 
+import weakref
 from enum import IntFlag
+from types import MethodType
 from typing import Callable
 
 PAGE_SIZE = 4096
@@ -100,7 +105,9 @@ class PagedMemory:
         self._pages: dict[int, _Page] = {}
         self.wp_enabled = True
         self._write_observers: list[WriteObserver] = []
-        self._code_observers: list[WriteObserver] = []
+        #: Zero-argument callables returning each code observer, or None
+        #: once a weakly held observer's owner is gone.
+        self._code_observers: list[Callable[[], WriteObserver | None]] = []
         self._lock_observers: list[WriteObserver] = []
         #: True while a ``LOCK``-prefixed store (:meth:`compare_exchange`)
         #: is inside :meth:`write`; lets plain write observers skip stores
@@ -126,9 +133,16 @@ class PagedMemory:
 
         A code page is one marked by :meth:`stamp_code_page`.  Stores to
         other pages skip the call; permission changes always notify.
-        This is the decode caches' invalidation hook.
+        This is the decode caches' invalidation hook.  A bound method is
+        held weakly, so it does not keep its owner (a CPU) alive; any
+        other callable is held as given.
         """
-        self._code_observers.append(observer)
+        live = [ref for ref in self._code_observers if ref() is not None]
+        if isinstance(observer, MethodType):
+            live.append(weakref.WeakMethod(observer))
+        else:
+            live.append(lambda: observer)
+        self._code_observers = live
 
     def add_lock_observer(self, observer: WriteObserver) -> None:
         """Call ``observer(addr, size)`` after every *successful*
@@ -145,8 +159,10 @@ class PagedMemory:
             observer(addr, size)
 
     def _notify_code(self, addr: int, size: int) -> None:
-        for observer in self._code_observers:
-            observer(addr, size)
+        for ref in self._code_observers:
+            observer = ref()
+            if observer is not None:
+                observer(addr, size)
 
     def _notify_reflag(self, addr: int) -> None:
         """A page's flags changed: every observer hears about it."""

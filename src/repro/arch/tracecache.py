@@ -43,6 +43,7 @@ Python (stubs, trap handlers) match interpreted execution exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -165,10 +166,15 @@ _MEM_OPS = {
 
 
 class TraceCache:
-    """Per-vCPU trace cache: profiler, recorder, codegen, guards."""
+    """Per-vCPU trace cache: profiler, recorder, codegen, guards.
+
+    The cache holds its CPU weakly, so a dropped container is freed by
+    reference counting; :meth:`execute`, the hot path, takes the CPU
+    from its caller instead.
+    """
 
     def __init__(self, cpu: "CPU", stats: Optional[TraceStats] = None) -> None:
-        self.cpu = cpu
+        self._cpu = weakref.ref(cpu)
         self.hot_threshold = HOT_THRESHOLD
         self.stats = stats if stats is not None else TraceStats()
         #: head rip -> :class:`CompiledTrace`.
@@ -179,6 +185,11 @@ class TraceCache:
         self.failed: set[int] = set()
         #: page index -> head rips of traces compiled from that page.
         self.page_traces: dict[int, set[int]] = {}
+
+    @property
+    def cpu(self) -> "CPU":
+        """The owning CPU (compile and invalidation paths only)."""
+        return self._cpu()
 
     # -- profiling -----------------------------------------------------
     def note_block(self, rip: int) -> None:
@@ -194,8 +205,9 @@ class TraceCache:
             self._compile(rip)
 
     # -- execution -----------------------------------------------------
-    def execute(self, rip: int, fuel: int) -> int:
-        """Run the trace at ``rip`` if one is installed and still valid.
+    def execute(self, cpu: "CPU", rip: int, fuel: int) -> int:
+        """Run the trace at ``rip`` on ``cpu`` (this cache's owner) if one
+        is installed and still valid.
 
         Returns instructions retired (0 = no trace ran; the caller must
         fall back to :meth:`CPU.step` to guarantee progress).
@@ -203,14 +215,14 @@ class TraceCache:
         trace = self.traces.get(rip)
         if trace is None:
             return 0
-        generation_of = self.cpu.mem.page_generation_index
+        generation_of = cpu.mem.page_generation_index
         for index, stamp in trace.pages:
             if generation_of(index) != stamp:
                 self._evict(trace)
                 self.stats.invalidations += 1
                 return 0
         self.stats.executions += 1
-        retired = trace.fn(self.cpu, fuel)
+        retired = trace.fn(cpu, fuel)
         self.stats.instructions += retired
         return retired
 
@@ -266,9 +278,10 @@ class TraceCache:
     def _compile(self, head: int) -> None:
         from repro.arch.cpu import Trap  # local: avoid import cycle
 
+        cpu = self.cpu
         try:
             steps, loop, retire_total, page_indexes = self._record(head, Trap)
-            source = _generate(self.cpu, head, steps, loop, retire_total)
+            source = _generate(cpu, head, steps, loop, retire_total)
         except _Abort:
             self.failed.add(head)
             self.stats.aborts += 1
@@ -286,13 +299,16 @@ class TraceCache:
             "_STATS": self.stats,
         }
         exec(code, namespace)
-        generation_of = self.cpu.mem.page_generation_index
+        # Pop the function out of its own globals: left in, the two
+        # would form a reference cycle (the code never names itself).
+        fn = namespace.pop("__trace__")
+        generation_of = cpu.mem.page_generation_index
         pages = tuple(
             (index, generation_of(index)) for index in sorted(page_indexes)
         )
         trace = CompiledTrace(
             head=head,
-            fn=namespace["__trace__"],
+            fn=fn,
             pages=pages,
             live=live,
             ops=retire_total,
@@ -305,7 +321,7 @@ class TraceCache:
             self.page_traces.setdefault(index, set()).add(head)
         self.stats.compiles += 1
         self.stats.code_bytes += len(source)
-        probe = self.cpu.probe
+        probe = cpu.probe
         if probe is not None:
             probe.fire(
                 sites.TRACE_COMPILE, head=f"{head:#x}", ops=retire_total,

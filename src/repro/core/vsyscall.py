@@ -17,13 +17,22 @@ The layout is inferred from Figure 2 of the paper:
 The page sits at ``0xffffffffff600000`` precisely so every slot address fits
 in a sign-extended 32-bit displacement, which is what makes the 7-byte
 ``callq *disp32`` replacement possible.
+
+The table has the same contents in every process, so booting a container
+costs a fixed amount: the table bytes are built once, at import, into
+one image that :meth:`VsyscallPage.install` stores with a single
+supervisor write, and the LibOS entry stubs are one module-level
+``{stub address: stub}`` table that :meth:`VsyscallPage.attach` copies
+onto each vCPU.  A stub reaches its LibOS through the one attribute
+``attach`` records on the CPU (``cpu.libos_entry``), so the stubs hold
+no reference to any container and none is built per boot.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.arch.cpu import CPU
+from repro.arch.cpu import CPU, NativeStub
 from repro.arch.memory import PagedMemory, PageFlags
 
 VSYSCALL_BASE = 0xFFFFFFFFFF600000
@@ -61,6 +70,54 @@ def dynamic_stub_addr(disp: int) -> int:
     return STUB_BASE + (NUM_SYSCALLS + disp // 8) * STUB_STRIDE
 
 
+def _table_image() -> bytes:
+    """The entry table's bytes from the first slot to the last.
+
+    Static slots are laid down first and the dynamic table after it, so
+    where the two overlap (static slot 383 is dynamic slot 0) the
+    dynamic entry wins.
+    """
+    first = slot_addr(0)
+    end = dynamic_slot_addr(DYNAMIC_DISPS[-1]) + 8
+    image = bytearray(end - first)
+    for nr in range(NUM_SYSCALLS):
+        offset = slot_addr(nr) - first
+        image[offset : offset + 8] = stub_addr(nr).to_bytes(8, "little")
+    for disp in DYNAMIC_DISPS:
+        offset = dynamic_slot_addr(disp) - first
+        image[offset : offset + 8] = dynamic_stub_addr(disp).to_bytes(
+            8, "little"
+        )
+    return bytes(image)
+
+
+#: The entry table as installed into every process.
+TABLE_IMAGE = _table_image()
+
+
+def _static_stub(nr: int) -> NativeStub:
+    def stub(cpu: CPU) -> None:
+        cpu.libos_entry(cpu, nr)
+
+    return stub
+
+
+def _dynamic_stub(disp: int) -> NativeStub:
+    def stub(cpu: CPU) -> None:
+        nr = cpu.mem.read_u64(cpu.regs.rsp + disp + 8) & 0xFFFFFFFF
+        cpu.libos_entry(cpu, nr)
+
+    return stub
+
+
+#: stub address -> LibOS entry stub, shared by every vCPU of every
+#: container.
+STUBS: dict[int, NativeStub] = {
+    **{stub_addr(nr): _static_stub(nr) for nr in range(NUM_SYSCALLS)},
+    **{dynamic_stub_addr(disp): _dynamic_stub(disp) for disp in DYNAMIC_DISPS},
+}
+
+
 class VsyscallPage:
     """Installs the entry table into memory and the stubs onto a CPU.
 
@@ -82,16 +139,11 @@ class VsyscallPage:
         )
         self.memory.wp_enabled = False
         try:
-            for nr in range(NUM_SYSCALLS):
-                self.memory.write_u64(slot_addr(nr), stub_addr(nr))
-            for disp in DYNAMIC_DISPS:
-                self.memory.write_u64(
-                    dynamic_slot_addr(disp), dynamic_stub_addr(disp)
-                )
+            self.memory.write(slot_addr(0), TABLE_IMAGE)
         finally:
             self.memory.wp_enabled = True
         # Installing the table is initialization, not patching: clear the
-        # dirty bit the supervisor writes set.
+        # dirty bit the supervisor write set.
         self.memory.set_page_flags(
             VSYSCALL_BASE,
             self.memory.page_flags(VSYSCALL_BASE) & ~PageFlags.DIRTY,
@@ -112,21 +164,5 @@ class VsyscallPage:
         """
         if not self._installed:
             raise RuntimeError("install() the vsyscall page before attach()")
-
-        def make_static(nr: int):
-            def stub(cpu: CPU) -> None:
-                entry_handler(cpu, nr)
-
-            return stub
-
-        def make_dynamic(disp: int):
-            def stub(cpu: CPU) -> None:
-                nr = cpu.mem.read_u64(cpu.regs.rsp + disp + 8) & 0xFFFFFFFF
-                entry_handler(cpu, nr)
-
-            return stub
-
-        for nr in range(NUM_SYSCALLS):
-            cpu.native_stubs[stub_addr(nr)] = make_static(nr)
-        for disp in DYNAMIC_DISPS:
-            cpu.native_stubs[dynamic_stub_addr(disp)] = make_dynamic(disp)
+        cpu.native_stubs.update(STUBS)
+        cpu.libos_entry = entry_handler

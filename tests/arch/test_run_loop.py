@@ -157,7 +157,7 @@ def _reference_run(cpu, max_instructions=10_000_000):
     tc = cpu._tracecache
     while not cpu.halted:
         executed = cpu.instructions_retired - start
-        if tc.traces and tc.execute(cpu.regs.rip, max_instructions - executed):
+        if tc.traces and tc.execute(cpu, cpu.regs.rip, max_instructions - executed):
             continue
         cpu.step()
 

@@ -192,7 +192,7 @@ class TestGuardsAndFuel:
         tc = cpu._tracecache
         (head,) = tc.traces
         before = cpu.instructions_retired
-        assert tc.execute(head, 0) == 0
+        assert tc.execute(cpu, head, 0) == 0
         assert cpu.instructions_retired == before
 
     def test_partial_fuel_runs_bounded_iterations(self):
@@ -205,7 +205,7 @@ class TestGuardsAndFuel:
         cpu.regs.rip = binary.entry
         cpu.regs.write64(Reg.RBX, 1 << 20)  # effectively endless loop
         cpu.regs.rip = head
-        retired = tc.execute(head, 10)
+        retired = tc.execute(cpu, head, 10)
         assert 0 < retired <= 10
         # The trace left RIP at its head: the interpreter (or the next
         # trace entry) can continue seamlessly.
@@ -274,7 +274,7 @@ class TestInvalidation:
         # Forge a stale stamp instead of routing a write through the
         # observer protocol.
         trace.pages = tuple((index, stamp - 1) for index, stamp in trace.pages)
-        assert tc.execute(head, 1000) == 0
+        assert tc.execute(cpu, head, 1000) == 0
         assert not tc.traces
         assert cpu.trace_stats.invalidations >= 1
 

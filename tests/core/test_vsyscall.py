@@ -1,8 +1,9 @@
 import pytest
 
+from repro.arch import Assembler, Reg
 from repro.arch.cpu import CPU
 from repro.arch.memory import PagedMemory, PageFault, PageFlags
-from repro.core import vsyscall
+from repro.core import CountingServices, XContainer, vsyscall
 from repro.core.vsyscall import VsyscallPage
 
 
@@ -97,3 +98,118 @@ class TestStubs:
         page.attach(cpu, lambda cpu, nr: seen.append(nr))
         cpu.native_stubs[vsyscall.dynamic_stub_addr(8)](cpu)
         assert seen == [202]
+
+
+def _per_slot_page():
+    """The table as one ``write_u64`` per slot would fill it."""
+    mem = PagedMemory()
+    mem.map_region(
+        vsyscall.VSYSCALL_BASE, 0x1000, PageFlags.USER | PageFlags.GLOBAL
+    )
+    mem.wp_enabled = False
+    for nr in range(vsyscall.NUM_SYSCALLS):
+        mem.write_u64(vsyscall.slot_addr(nr), vsyscall.stub_addr(nr))
+    for disp in vsyscall.DYNAMIC_DISPS:
+        mem.write_u64(
+            vsyscall.dynamic_slot_addr(disp), vsyscall.dynamic_stub_addr(disp)
+        )
+    mem.wp_enabled = True
+    return mem
+
+
+class TestTableImage:
+    def test_installed_page_equals_per_slot_stores(self):
+        mem = PagedMemory()
+        VsyscallPage(mem).install()
+        expected = _per_slot_page()
+        base = vsyscall.VSYSCALL_BASE
+        assert mem.read(base, 0x1000) == expected.read(base, 0x1000)
+        flags = mem.page_flags(base)
+        assert flags == expected.page_flags(base) & ~PageFlags.DIRTY
+        assert not flags & PageFlags.DIRTY
+        assert flags & PageFlags.GLOBAL
+        assert not flags & PageFlags.WRITABLE
+        assert mem.wp_enabled
+        with pytest.raises(PageFault):
+            mem.write(base + 8, b"\x00")
+
+
+def _call_every_stub(cpu, go_number):
+    """Invoke each static stub, then each dynamic stub with
+    ``go_number(disp)`` stored where the Go site keeps it."""
+    top = cpu.regs.rsp
+    for nr in range(vsyscall.NUM_SYSCALLS):
+        cpu.regs.rsp = top
+        cpu.native_stubs[vsyscall.stub_addr(nr)](cpu)
+    for disp in vsyscall.DYNAMIC_DISPS:
+        cpu.regs.rsp = top
+        cpu.mem.write_u64(top + disp + 8, go_number(disp))
+        cpu.native_stubs[vsyscall.dynamic_stub_addr(disp)](cpu)
+    cpu.regs.rsp = top
+
+
+def _static_and_go_program():
+    """A glibc-shaped site (number 39) and a Go-shaped site (number 1007
+    on the stack), each run three times: the first run of each traps and
+    is patched, the rest call through the table."""
+    asm = Assembler()
+    asm.mov_imm32(Reg.RBX, 3)
+    asm.label("loop")
+    asm.syscall_site(39)
+    asm.mov_imm64_low(Reg.RCX, 1007)
+    asm.store_rsp64(8, Reg.RCX)
+    asm.syscall_site(0, style="go_stack")
+    asm.dec(Reg.RBX)
+    asm.jne("loop")
+    asm.hlt()
+    return asm.build()
+
+
+class TestSharedStubs:
+    """The stubs are shared by every CPU; each reaches its own LibOS."""
+
+    def test_every_stub_reaches_its_own_libos(self):
+        first = CountingServices()
+        second = CountingServices()
+        a = XContainer(first, name="a")
+        b = XContainer(second, name="b")
+        _call_every_stub(a.cpu, lambda disp: 500 + disp)
+        _call_every_stub(b.cpu, lambda disp: 700 + disp)
+        static = list(range(vsyscall.NUM_SYSCALLS))
+        assert first.calls == static + [500 + d for d in vsyscall.DYNAMIC_DISPS]
+        assert second.calls == static + [700 + d for d in vsyscall.DYNAMIC_DISPS]
+        total = vsyscall.NUM_SYSCALLS + len(vsyscall.DYNAMIC_DISPS)
+        assert a.libos.stats.lightweight_syscalls == total
+        assert b.libos.stats.lightweight_syscalls == total
+
+    def test_patched_static_and_go_sites_reach_their_own_libos(self):
+        binary = _static_and_go_program()
+        first = CountingServices()
+        second = CountingServices()
+        a = XContainer(first, name="a")
+        b = XContainer(second, name="b")
+        a.run(binary)
+        assert (first.count(39), first.count(1007)) == (3, 3)
+        assert second.calls == []
+        b.run(binary)
+        assert (second.count(39), second.count(1007)) == (3, 3)
+        assert len(first.calls) == 6
+        for xc in (a, b):
+            assert xc.abom_stats.patches_7byte == 1
+            assert xc.abom_stats.patches_go == 1
+            assert xc.libos.stats.lightweight_syscalls == 4
+            assert xc.libos.stats.forwarded_syscalls == 2
+
+    def test_added_vcpu_dispatches_to_the_same_libos(self):
+        services = CountingServices()
+        other = CountingServices()
+        xc = XContainer(services)
+        XContainer(other)
+        cpu = xc.add_vcpu()
+        assert cpu is not xc.cpu
+        cpu.native_stubs[vsyscall.stub_addr(39)](cpu)
+        cpu.mem.write_u64(cpu.regs.rsp + 8 + 8, 202)
+        cpu.native_stubs[vsyscall.dynamic_stub_addr(8)](cpu)
+        assert services.calls == [39, 202]
+        assert other.calls == []
+        assert xc.libos.stats.lightweight_syscalls == 2
