@@ -84,7 +84,7 @@ def _classify(
     window7 = _window(code, base, syscall_addr, 5)
     if window9 is not None and window9[:3] == b"\x48\xc7\xc0":
         nr = int.from_bytes(window9[3:7], "little")
-        patchable = nr < vsyscall.NUM_SYSCALLS
+        patchable = vsyscall.has_static_slot(nr)
         byte_match = DiscoveredSite(
             syscall_addr,
             SitePattern.MOV_RAX_IMM,
@@ -97,7 +97,7 @@ def _classify(
         )
     elif window7 is not None and window7[0] == 0xB8:
         nr = int.from_bytes(window7[1:5], "little")
-        patchable = nr < vsyscall.NUM_SYSCALLS
+        patchable = vsyscall.has_static_slot(nr)
         byte_match = DiscoveredSite(
             syscall_addr,
             SitePattern.MOV_EAX_IMM,

@@ -27,7 +27,10 @@ self-modifying code is always observed.  On top of the block cache sits
 a **trace cache** (:mod:`repro.arch.tracecache`): hot block chains are
 stitched into superblocks and compiled into specialized Python functions
 dispatched from :meth:`CPU.run`, with guard checks bailing back to the
-interpreter at the exact RIP.  See ``docs/interpreter_performance.md``.
+interpreter at the exact RIP.  Under every CPU's block cache sits one
+process-wide :data:`SHARED_BLOCKS` cache, so a text that many domains
+run is decoded once per process, not once per vCPU.  See
+``docs/interpreter_performance.md``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ MASK64 = (1 << 64) - 1
 MAX_INSTR_LEN = 15
 #: Straight-line decode stops after this many instructions per block.
 MAX_BLOCK_INSTRS = 64
+#: Blocks the process-wide decode cache holds before it starts over.
+SHARED_BLOCK_LIMIT = 4096
 
 
 class TrapKind(enum.Enum):
@@ -311,14 +316,18 @@ class ICacheStats:
     """Decode-cache counters, exposed for benchmarks and perf reporting.
 
     ``hits`` counts instructions executed from cached blocks, ``misses``
-    counts block decodes (cache fills), and ``invalidations`` counts
-    blocks dropped because a store (or permission change) touched one of
-    the pages they were decoded from.
+    counts block fills, and ``invalidations`` counts blocks dropped
+    because a store (or permission change) touched one of the pages they
+    were decoded from.  ``shared_hits`` counts the fills served from
+    :data:`SHARED_BLOCKS` without decoding: each is still a miss.  It
+    depends on what the process decoded before, so it is a host-side
+    count and stays out of :meth:`as_dict`.
     """
 
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
+    shared_hits: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -352,6 +361,98 @@ class _Block:
         self.ops = ops
         self.pages = pages
         self.live = True
+
+
+class SharedBlocks:
+    """Decoded blocks shared by every CPU in the process.
+
+    An entry is keyed by its start address plus the bytes the decoder
+    consumed: the block's own bytes, and for a block ended by bytes that
+    do not decode, the :data:`MAX_INSTR_LEN` bytes of lookahead the
+    failed decode could read.  The entry also records how many bytes it
+    fetched, so a window that an unmapped or NX page cut short only
+    matches a window cut short at the same place.  A lookup fetches that
+    span through the filling CPU's own ``fetch`` (which checks mapping
+    and EXECUTABLE in that CPU's address space) and reuses the entry
+    only when the bytes are equal; a hit is therefore exactly what a
+    fresh decode there would produce.
+
+    Entries are ``(addr, handler, Instruction, next_rip)`` tuples and
+    hold no CPU, memory or container reference.  Native-stub cuts, page
+    stamps and eviction stay per CPU: a store drops that CPU's block,
+    and its refill misses here (the bytes differ) and adds a new entry.
+    Past :data:`SHARED_BLOCK_LIMIT` entries the cache starts over.
+    """
+
+    __slots__ = ("_by_addr", "_size")
+
+    def __init__(self) -> None:
+        #: start address -> fetched length -> consumed bytes -> ops.
+        self._by_addr: dict[int, dict[int, dict[bytes, tuple]]] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def lookup(self, fetch: Callable[[int, int], bytes], rip: int):
+        """The shared ops for the bytes at ``rip`` now, or None."""
+        by_length = self._by_addr.get(rip)
+        if by_length is not None:
+            for length, spans in by_length.items():
+                ops = spans.get(fetch(rip, length))
+                if ops is not None:
+                    return ops
+        return None
+
+    def insert(self, rip: int, length: int, span: bytes, ops: tuple) -> None:
+        if self._size >= SHARED_BLOCK_LIMIT:
+            self.clear()
+        spans = self._by_addr.setdefault(rip, {}).setdefault(length, {})
+        if span not in spans:
+            spans[span] = ops
+            self._size += 1
+
+    def clear(self) -> None:
+        self._by_addr.clear()
+        self._size = 0
+
+
+#: The process-wide decode cache under every CPU's block cache.
+SHARED_BLOCKS = SharedBlocks()
+
+
+def _decode_block(fetch: Callable[[int, int], bytes], rip: int) -> tuple:
+    """Decode the block at ``rip``, ignoring native stubs, and share it.
+
+    Decoding runs straight-line until a control transfer, trap
+    instruction, page boundary, :data:`MAX_BLOCK_INSTRS`, or bytes that
+    do not decode.  Raises :class:`InvalidOpcode` when the *first*
+    instruction does not decode.
+    """
+    page_end = (rip & ~(PAGE_SIZE - 1)) + PAGE_SIZE
+    window = fetch(rip, (page_end - rip) + MAX_INSTR_LEN)
+    ops = []
+    offset = 0
+    consumed = 0
+    while rip + offset < page_end:
+        try:
+            instr = decode(window, offset)
+        except InvalidOpcode:
+            if not ops:
+                raise
+            consumed = offset + MAX_INSTR_LEN
+            break
+        addr = rip + offset
+        offset += instr.length
+        ops.append((addr, HANDLERS[instr.mnemonic], instr, rip + offset))
+        if instr.mnemonic in BLOCK_TERMINATORS or len(ops) >= MAX_BLOCK_INSTRS:
+            break
+    if not consumed:
+        # Every decode succeeded: the block's own bytes decide it.
+        consumed = offset
+    ops = tuple(ops)
+    SHARED_BLOCKS.insert(rip, consumed, window[:consumed], ops)
+    return ops
 
 
 class CPU:
@@ -471,37 +572,33 @@ class CPU:
         return block.ops[0]
 
     def _fill_block(self, rip: int) -> _Block:
-        """Decode a basic block starting at ``rip`` and cache it.
+        """Cache the basic block starting at ``rip``.
 
-        Decoding runs straight-line until a control transfer, trap
-        instruction, page boundary, native-stub address, or undecodable
-        bytes.  Raises :class:`InvalidOpcode` when the *first* instruction
-        is undecodable (the caller delivers #UD) and :class:`Trap` when
-        the fetch itself faults.
+        The ops come from :data:`SHARED_BLOCKS` when this address space
+        holds the bytes an entry was decoded from, and from a fresh
+        decode (:func:`_decode_block`) otherwise.  Either way the block
+        is cut before the first native-stub address after ``rip`` and
+        stamped with this CPU's page generations.  Raises
+        :class:`InvalidOpcode` when the *first* instruction is
+        undecodable (the caller delivers #UD) and :class:`Trap` when the
+        fetch itself faults.
         """
-        self.icache_stats.misses += 1
-        mem = self.mem
-        page_end = (rip & ~(PAGE_SIZE - 1)) + PAGE_SIZE
-        window = self._fetch_window(rip, (page_end - rip) + MAX_INSTR_LEN)
+        stats = self.icache_stats
+        stats.misses += 1
+        fetch = self._fetch_window
+        ops = SHARED_BLOCKS.lookup(fetch, rip)
+        if ops is None:
+            ops = _decode_block(fetch, rip)
+        else:
+            stats.shared_hits += 1
         stubs = self.native_stubs
-        ops = []
-        offset = 0
-        while True:
-            addr = rip + offset
-            if addr >= page_end:
-                break
-            if ops and addr in stubs:
-                break
-            try:
-                instr = decode(window, offset)
-            except InvalidOpcode:
-                if not ops:
-                    raise
-                break
-            offset += instr.length
-            ops.append((addr, HANDLERS[instr.mnemonic], instr, rip + offset))
-            if instr.mnemonic in BLOCK_TERMINATORS or len(ops) >= MAX_BLOCK_INSTRS:
-                break
+        if stubs:
+            for index in range(1, len(ops)):
+                if ops[index][0] in stubs:
+                    ops = ops[:index]
+                    break
+        offset = ops[-1][3] - rip
+        mem = self.mem
         first_page = rip >> PAGE_SHIFT
         last_page = (rip + offset - 1) >> PAGE_SHIFT
         # Stamping marks the pages as code: from now on stores to them

@@ -68,10 +68,12 @@ MAX_TRACE_BLOCKS = 32
 #: Linear (non-looping) traces shorter than this lose to the icache.
 MIN_LINEAR_OPS = 8
 
-#: Generated-source → compiled code object.  Keyed by the exact source,
-#: so identical programs (fresh CPUs over the same text, benchmark
-#: rounds) share one ``compile()`` cost process-wide.
-_CODE_MEMO: dict[str, object] = {}
+#: Recorded plan → ``(generated source, compiled code object)``.  The
+#: key is everything :func:`_generate` reads (head, steps, loop, retire
+#: total, whether and how much instructions charge), so identical
+#: programs (fresh CPUs over the same text, benchmark rounds) share one
+#: ``_generate`` and one ``compile()`` cost process-wide.
+_CODE_MEMO: dict[tuple, tuple[str, object]] = {}
 
 
 @dataclass
@@ -279,17 +281,21 @@ class TraceCache:
         from repro.arch.cpu import Trap  # local: avoid import cycle
 
         cpu = self.cpu
+        ns = float(cpu.instruction_ns)
+        charge = cpu.clock is not None and bool(ns)
         try:
             steps, loop, retire_total, page_indexes = self._record(head, Trap)
-            source = _generate(cpu, head, steps, loop, retire_total)
+            plan = (head, tuple(steps), loop, retire_total, charge, ns)
+            memo = _CODE_MEMO.get(plan)
+            if memo is None:
+                source = _generate(head, steps, loop, retire_total, charge, ns)
+                code = compile(source, f"<trace {head:#x}>", "exec")
+                memo = _CODE_MEMO[plan] = (source, code)
         except _Abort:
             self.failed.add(head)
             self.stats.aborts += 1
             return
-        code = _CODE_MEMO.get(source)
-        if code is None:
-            code = compile(source, f"<trace {head:#x}>", "exec")
-            _CODE_MEMO[source] = code
+        source, code = memo
         live = [True]
         namespace = {
             "PageFault": PageFault,
@@ -541,8 +547,10 @@ class _Emitter:
         self.lines.append("    " * indent + text)
 
 
-def _generate(cpu, head, steps, loop, retire_total) -> str:
-    """Generate the trace function source for ``steps``."""
+def _generate(head, steps, loop, retire_total, charge, ns_per_instr) -> str:
+    """Generate the trace function source for ``steps``; ``charge``
+    says whether each instruction advances the clock by
+    ``ns_per_instr``."""
     tracked: set[int] = set()
     flags: set[str] = set()
     has_mem = False
@@ -562,8 +570,7 @@ def _generate(cpu, head, steps, loop, retire_total) -> str:
             flags.update(_JCC_USES[step[2]])
         if kind in ("call", "call_ind", "stub_call", "ret_guard", "ret_exit"):
             has_mem = True
-    charge = cpu.clock is not None and bool(cpu.instruction_ns)
-    ns = repr(float(cpu.instruction_ns))
+    ns = repr(ns_per_instr)
     regs = sorted(tracked)
     flag_list = [f for f in ("zf", "sf", "cf") if f in flags]
     # Mid-trace invalidation is only possible when the trace itself can

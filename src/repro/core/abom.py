@@ -173,7 +173,7 @@ class ABOM:
         if window is None or window[0] != 0xB8:
             return False
         nr = int.from_bytes(window[1:5], "little")
-        if nr >= vsyscall.NUM_SYSCALLS:
+        if not vsyscall.has_static_slot(nr):
             return False
         old = window + _SYSCALL
         new = enc_call_abs_ind(vsyscall.slot_addr(nr))
@@ -210,7 +210,7 @@ class ABOM:
         if window is None or window[:3] != b"\x48\xc7\xc0":
             return False
         nr = int.from_bytes(window[3:7], "little")
-        if nr >= vsyscall.NUM_SYSCALLS:
+        if not vsyscall.has_static_slot(nr):
             return False
         # Phase 1: overwrite the 7-byte mov with the call; the trailing
         # syscall stays — the binary is still valid because the LibOS entry

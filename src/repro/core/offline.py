@@ -41,6 +41,15 @@ class OfflinePatchReport:
     trampolines: list[str] = field(default_factory=list)
 
 
+def _patchable(site: SyscallSite) -> bool:
+    """A cancellable site whose number has a static slot of its own."""
+    return (
+        site.pattern is SitePattern.CANCELLABLE
+        and site.nr is not None
+        and vsyscall.has_static_slot(site.nr)
+    )
+
+
 class OfflinePatcher:
     """Rewrites syscall sites ABOM cannot recognize.
 
@@ -140,7 +149,7 @@ class OfflinePatcher:
             self._trampoline_mapped = True
 
     def _patch_with_trampoline(self, site: SyscallSite) -> bool:
-        if site.pattern is not SitePattern.CANCELLABLE or site.nr is None:
+        if not _patchable(site):
             return False
         region_start = self._find_mov(site, max_back=64)
         if region_start is None:
@@ -174,7 +183,7 @@ class OfflinePatcher:
         return True
 
     def _patch_one(self, site: SyscallSite) -> bool:
-        if site.pattern is not SitePattern.CANCELLABLE or site.nr is None:
+        if not _patchable(site):
             return False
         # Locate the start of the wrapper: the ``mov $nr,%eax`` (5 bytes)
         # followed by the cancellation check, ending at the syscall.

@@ -48,6 +48,16 @@ STUB_BASE = 0xFFFFFFFFFF610000
 STUB_STRIDE = 16
 
 
+def has_static_slot(nr: int) -> bool:
+    """Whether a site for syscall ``nr`` may be patched to its slot.
+
+    The static slot of the last number, 383, is dynamic slot 0
+    (``base + 0xc00``), which holds the Go stub.  So 383, like any
+    number past the table, is never patched: it stays on the trap path.
+    """
+    return 0 <= nr < NUM_SYSCALLS and slot_addr(nr) < dynamic_slot_addr(0)
+
+
 def slot_addr(nr: int) -> int:
     """Table slot for a statically-known syscall number."""
     if not 0 <= nr < NUM_SYSCALLS:

@@ -5,12 +5,14 @@ costs one attribute test).
 through a table built once, to the attached ``FaultEngine`` (which may
 return the fault to apply), ``SanitizerSuite`` method and ``Tracer``
 (trace events, plus ``fault`` events while an engine is attached).
+Which sites each kind of subscriber hears is worked out once, at
+import; a probe only binds its own subscribers to those sites.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.faults import sites
 
@@ -21,6 +23,27 @@ if TYPE_CHECKING:
 
 #: ``handler(site, detail)``; only fault handlers return non-``None``.
 Handler = Callable[[str, dict[str, object]], "Fault | None"]
+
+#: The sites each kind of subscriber hears, in catalog order.
+_FAULT_SITES: tuple[str, ...] = tuple(
+    name for name, info in sites.SITES.items() if info.kinds
+)
+#: ``(site, FaultEngine method, trace event name)`` lifecycle sites.
+_RECORD_SITES: tuple[tuple[str, str, str], ...] = tuple(
+    (name, info.record, info.trace[1])
+    for name, info in sites.SITES.items()
+    if info.record and info.trace
+)
+_SANITIZER_SITES: tuple[tuple[str, str], ...] = tuple(
+    (name, info.sanitizer)
+    for name, info in sites.SITES.items()
+    if info.sanitizer is not None
+)
+_TRACE_SITES: tuple[tuple[str, tuple[str, str]], ...] = tuple(
+    (name, info.trace)
+    for name, info in sites.SITES.items()
+    if info.trace and not info.record
+)
 
 
 class Probe:
@@ -37,11 +60,30 @@ class Probe:
         self.faults = faults
         self.sanitizers = sanitizers
         self.tracer = tracer
-        self._routes: dict[str, tuple[Handler, ...]] = {}
-        for name, info in sites.SITES.items():
-            handlers = tuple(self._handlers(info))
-            if handlers:
-                self._routes[name] = handlers
+        # Subscribers in firing order: fault injection, fault lifecycle,
+        # sanitizer, tracer.
+        routes: dict[str, list[Handler]] = {}
+        if faults is not None:
+            inject = partial(_inject, faults, tracer)
+            for name in _FAULT_SITES:
+                routes.setdefault(name, []).append(inject)
+            for name, record, event in _RECORD_SITES:
+                routes.setdefault(name, []).append(
+                    partial(_record, getattr(faults, record), tracer, event)
+                )
+        if sanitizers is not None:
+            for name, method in _SANITIZER_SITES:
+                routes.setdefault(name, []).append(
+                    partial(_call, getattr(sanitizers, method))
+                )
+        if tracer is not None:
+            for name, trace in _TRACE_SITES:
+                routes.setdefault(name, []).append(
+                    partial(_call, partial(tracer.emit, *trace))
+                )
+        self._routes: dict[str, tuple[Handler, ...]] = {
+            name: tuple(handlers) for name, handlers in routes.items()
+        }
 
     def fire(self, site: str, /, **detail: object) -> Fault | None:
         """One occurrence of ``site``; returns the fault to apply, if any."""
@@ -51,18 +93,6 @@ class Probe:
             if result is not None:
                 fault = result
         return fault
-
-    def _handlers(self, info: sites.SiteInfo) -> Iterator[Handler]:
-        faults, tracer = self.faults, self.tracer
-        if faults is not None and info.kinds:
-            yield partial(_inject, faults, tracer)
-        if faults is not None and info.record and info.trace:
-            record = getattr(faults, info.record)
-            yield partial(_record, record, tracer, info.trace[1])
-        if self.sanitizers is not None and info.sanitizer is not None:
-            yield partial(_call, getattr(self.sanitizers, info.sanitizer))
-        if tracer is not None and info.trace and not info.record:
-            yield partial(_call, partial(tracer.emit, *info.trace))
 
 
 def _inject(

@@ -494,18 +494,25 @@ class Registry:
         sums over every vCPU; adding ``cpu=0`` narrows to one.
         """
         want = set(_canon_labels(labels))
-        total = 0.0
-        found = False
-        for sample in self.collect():
-            if sample.name != name or not want <= set(sample.labels):
-                continue
-            found = True
-            if isinstance(sample.value, Histogram):
-                total += sample.value.sum
-            else:
-                total += sample.value
-        if not found:
+        # Only samples of ``name`` are materialized.  They are summed in
+        # label order, the order :meth:`collect` lists them in, so the
+        # float total is bit-identical to a sum over ``collect()``.
+        matches: list[tuple[LabelItems, float]] = []
+        for (inst_name, inst_labels), inst in self._instruments.items():
+            if inst_name == name and want <= set(inst_labels):
+                matches.append((inst_labels, inst.value()))
+        for family in self._families:
+            if family.name == name:
+                matches.extend(
+                    sample for sample in family.samples()
+                    if want <= set(sample[0])
+                )
+        if not matches:
             raise KeyError(f"no samples for metric {name!r}")
+        matches.sort(key=lambda match: match[0])
+        total = 0.0
+        for _labels, number in matches:
+            total += number
         return total
 
     def snapshot(self) -> dict:

@@ -116,6 +116,23 @@ def wire_cpu(registry: Registry, cpu: Any, index: int) -> None:
     )
 
 
+def wire_shared_decode(registry: Registry, cpu: Any, index: int) -> None:
+    """Decodes one vCPU took from the process-wide block cache.
+
+    A host-side count: it depends on what the process decoded before,
+    so :func:`wire_cpu` leaves it out and a container's registry stays
+    byte-identical from run to run.  Bind it next to ``wire_cpu`` to
+    watch decode sharing across a fleet.
+    """
+    stats = cpu.icache_stats
+    registry.bind(
+        "arch_icache_shared_hits_total",
+        lambda: stats.shared_hits,
+        help="block fills served from the shared decode cache",
+        cpu=index,
+    )
+
+
 # -- core -------------------------------------------------------------------
 
 

@@ -210,3 +210,17 @@ def test_static_discovery_equals_interpreter_traps(specs, junk):
     by_addr = {site.syscall_addr: site for site in discovered}
     for site in declared:
         assert by_addr[site.syscall_addr].pattern is site.pattern
+
+
+class TestSlot383:
+    """Analysis agrees with ABOM: 383's static slot is the Go stub's."""
+
+    def test_383_sites_not_patchable(self):
+        for style in ("mov_eax", "mov_rax"):
+            asm = Assembler()
+            asm.syscall_site(383, style=style)
+            asm.hlt()
+            (site,) = discover(asm.build())
+            assert site.nr == 383
+            assert not site.abom_patchable
+            assert site.window is None

@@ -160,6 +160,45 @@ class TestCompilation:
         assert len(m._CODE_MEMO) == memo_size
         assert second.trace_stats.compiles == 1
 
+    def test_source_generated_once_per_recorded_plan(self, monkeypatch):
+        from repro.arch import tracecache as m
+
+        monkeypatch.setattr(m, "_CODE_MEMO", {})
+        calls = []
+        generate = m._generate
+
+        def counting(*args):
+            calls.append(args[0])
+            return generate(*args)
+
+        monkeypatch.setattr(m, "_generate", counting)
+        binary = counting_loop(300)
+        runs = [fresh_cpu(binary) for _ in range(3)]
+        for cpu in runs:
+            cpu.run()
+        assert [cpu.trace_stats.compiles for cpu in runs] == [1, 1, 1]
+        assert len(calls) == 1
+        assert len({cpu.regs.rax for cpu in runs}) == 1
+
+    def test_plans_differing_only_in_charge_compile_apart(self):
+        """The same text traced on a CPU without a clock and on one that
+        charges per instruction: each trace charges as its CPU does."""
+        from repro.perf.clock import SimClock
+
+        binary = counting_loop(300)
+        bare = fresh_cpu(binary)
+        bare.run()
+        charged = []
+        for ns in (2.5, 4.0):
+            cpu = fresh_cpu(binary)
+            cpu.clock = SimClock()
+            cpu.instruction_ns = ns
+            cpu.run()
+            assert cpu.trace_stats.compiles == 1
+            assert cpu.clock.now_ns == cpu.instructions_retired * ns
+            charged.append(cpu.instructions_retired)
+        assert charged[0] == charged[1] == bare.instructions_retired
+
 
 class TestGuardsAndFuel:
     def test_loop_exit_lands_on_exact_rip(self):

@@ -213,3 +213,53 @@ class TestSharedStubs:
         assert services.calls == [39, 202]
         assert other.calls == []
         assert xc.libos.stats.lightweight_syscalls == 2
+
+
+def _site_383_loop(style):
+    """Three runs of a ``style`` site for syscall 383, with a different
+    number parked where the Go stub of dynamic slot 0 would read it."""
+    asm = Assembler()
+    asm.mov_imm32(Reg.RBX, 3)
+    asm.mov_imm64_low(Reg.RCX, 77)
+    asm.store_rsp64(0, Reg.RCX)
+    asm.label("loop")
+    asm.syscall_site(383, style=style)
+    asm.dec(Reg.RBX)
+    asm.jne("loop")
+    asm.hlt()
+    return asm.build()
+
+
+class TestSlot383:
+    """Static slot 383 is dynamic slot 0: ``base + 0xc00`` holds the Go
+    stub, so a site for 383 must not be patched to call through it."""
+
+    def test_slot_383_is_dynamic_slot_0(self):
+        assert vsyscall.slot_addr(383) == vsyscall.dynamic_slot_addr(0)
+        assert not vsyscall.has_static_slot(383)
+        assert vsyscall.has_static_slot(382)
+
+    @pytest.mark.parametrize("style", ["mov_eax", "mov_rax"])
+    def test_383_site_is_forwarded_not_patched(self, style):
+        services = CountingServices()
+        xc = XContainer(services)
+        xc.run(_site_383_loop(style))
+        assert services.calls == [383, 383, 383]
+        assert xc.abom_stats.total_patches == 0
+        assert xc.libos.stats.forwarded_syscalls == 3
+
+    def test_offline_patcher_skips_383(self):
+        from repro.core.offline import OfflinePatcher
+
+        asm = Assembler()
+        site = asm.syscall_site(383, style="cancellable", symbol="w383")
+        asm.hlt()
+        binary = asm.build()
+        for preserve in (False, True):
+            xc = XContainer(CountingServices())
+            xc.load(binary)
+            patcher = OfflinePatcher(xc.memory)
+            report = patcher.patch_sites(binary, [site], preserve)
+            assert report.patched == [] and report.skipped == ["w383"]
+            xc.run_loaded(binary.entry)
+            assert xc.libos.services.calls == [383]

@@ -134,3 +134,40 @@ def test_every_catalog_site_routes_to_its_subscribers():
             + bool(info.trace and not info.record)
         )
         assert len(probe._routes[site]) == expected, site
+
+
+class TestRouteTable:
+    def test_routes_follow_the_catalog_for_every_subscriber_mix(self):
+        """Each site routes, in order, to fault injection, the fault
+        lifecycle, the sanitizer and the tracer its catalog entry
+        names, for every combination of attached subscribers."""
+        for mask in range(8):
+            faults = engine() if mask & 1 else None
+            suite = SanitizerSuite() if mask & 2 else None
+            tracer = Tracer(SimClock()) if mask & 4 else None
+            probe = Probe(faults, suite, tracer)
+            expected = {}
+            for name, info in sites.SITES.items():
+                kinds = []
+                if faults is not None and info.kinds:
+                    kinds.append("inject")
+                if faults is not None and info.record and info.trace:
+                    kinds.append("record")
+                if suite is not None and info.sanitizer is not None:
+                    kinds.append("sanitizer")
+                if tracer is not None and info.trace and not info.record:
+                    kinds.append("tracer")
+                if kinds:
+                    expected[name] = kinds
+            actual = {
+                name: [
+                    {"_inject": "inject", "_record": "record"}.get(
+                        handler.func.__name__,
+                        "tracer" if handler.args[0].__class__.__name__
+                        == "partial" else "sanitizer",
+                    )
+                    for handler in handlers
+                ]
+                for name, handlers in probe._routes.items()
+            }
+            assert actual == expected

@@ -1,9 +1,12 @@
 """The metrics registry: instruments, labels, scoping, lazy bindings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import (
     DEFAULT_NS_BUCKETS,
+    Histogram,
     Registry,
     format_value,
     render_sample_key,
@@ -169,6 +172,69 @@ class TestBindings:
     def test_value_raises_for_unknown_metric(self):
         with pytest.raises(KeyError):
             Registry().value("nope_total")
+
+
+def _value_over_collect(registry, name, **labels):
+    """``Registry.value`` as a sum over :meth:`Registry.collect`."""
+    want = {(key, str(value)) for key, value in labels.items()}
+    total = 0.0
+    found = False
+    for sample in registry.collect():
+        if sample.name != name or not want <= set(sample.labels):
+            continue
+        found = True
+        value = sample.value
+        total += value.sum if isinstance(value, Histogram) else value
+    if not found:
+        raise KeyError(name)
+    return total
+
+
+_floats = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestValueMatchesCollect:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["counter", "gauge", "bind", "hist"]),
+                st.sampled_from(["a_total", "b_total"]),
+                st.integers(0, 5),
+                st.sampled_from(["x", "y"]),
+                _floats,
+            ),
+            max_size=30,
+        ),
+        st.dictionaries(st.sampled_from(["p", "q", "r"]), _floats, max_size=3),
+        st.sampled_from([{}, {"cpu": 1}, {"zone": "x"}, {"cpu": 2, "zone": "y"}]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_value_equals_the_collect_sum_bit_for_bit(
+        self, instruments, family, query
+    ):
+        registry = Registry(domain="d")
+        for kind, name, cpu, zone, number in instruments:
+            labels = {"cpu": cpu, "zone": zone}
+            try:
+                if kind == "counter":
+                    registry.counter(name, **labels).inc(abs(number))
+                elif kind == "gauge":
+                    registry.gauge(name + "_g", **labels).set(number)
+                elif kind == "bind":
+                    registry.bind(name, lambda number=number: number, **labels)
+                else:
+                    registry.histogram("h_ns", **labels).observe(abs(number))
+            except ValueError:
+                pass  # (name, labels) already taken by another kind
+        registry.bind_family("a_total", "kind", lambda: family, cpu=1)
+        for name in ("a_total", "b_total", "a_total_g", "h_ns"):
+            try:
+                expected = _value_over_collect(registry, name, **query)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    registry.value(name, **query)
+                continue
+            assert registry.value(name, **query) == expected
 
 
 class TestSnapshot:

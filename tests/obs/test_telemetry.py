@@ -105,3 +105,25 @@ class TestContainerTelemetry:
         assert "net_http_request_latency_ns{domain=xc0}" in (
             snap["histograms"]
         )
+
+
+class TestSharedDecodeMetric:
+    def test_shared_hits_bind_on_request_only(self):
+        from repro.arch.cpu import SHARED_BLOCKS
+        from repro.obs.registry import Registry
+
+        SHARED_BLOCKS.clear()  # a cold cache: no flush mid-test
+        first = XContainer(CountingServices(), name="first")
+        first.run(build_syscall_bench(10))
+        second = XContainer(CountingServices(), name="second")
+        second.run(build_syscall_bench(10))
+        stats = second.cpu.icache_stats
+        assert stats.shared_hits == stats.misses > 0
+        # The container's own export leaves the host-side count out.
+        with pytest.raises(KeyError):
+            second.telemetry().value("arch_icache_shared_hits_total")
+        registry = Registry(domain="second")
+        wire.wire_shared_decode(registry, second.cpu, index=0)
+        assert registry.value("arch_icache_shared_hits_total", cpu=0) == (
+            stats.shared_hits
+        )
