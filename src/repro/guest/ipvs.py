@@ -23,6 +23,18 @@ Two schedulers are modelled (the ``ip_vs_rr`` / ``ip_vs_wlc`` modules):
   ``(active + 1) / weight`` (ties break in insertion order, so
   scheduling is deterministic).
 
+Linux's ``ip_vs_wlc`` scans every real server per connection; what the
+model must keep is that choice, not its host cost.  The director
+therefore keeps an index of its schedulable servers (insertion order,
+for wrr and :attr:`IPVS.active_servers`) and, for wlc, a heap keyed by
+``((active + 1) / weight, insertion seq)``.  Servers are only appended
+and removed in order, so insertion seq orders exactly as list position
+does and the heap top is the server ``min`` over the list would pick.
+Entries go stale when a server's count moves on or it leaves ``ACTIVE``;
+they are dropped lazily when they reach the top, and the heap is rebuilt
+from the index whenever it outgrows ``HEAP_SLACK`` entries per
+schedulable server.
+
 Real servers can be added and removed while connections are live:
 ``remove_server`` with draining stops routing *new* connections to the
 server immediately and finalizes the removal when its last active
@@ -36,7 +48,8 @@ deaths (see ``tests/lb/test_ipvs.py``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from repro.guest.modules import ModuleRegistry
 from repro.perf.costs import CostModel
@@ -55,8 +68,23 @@ class ServerState(enum.Enum):
     REMOVED = "removed"
 
 
+_ACTIVE = ServerState.ACTIVE
+
+#: The wlc heap is rebuilt once it holds more than this many entries per
+#: schedulable server, so stale entries cannot pile up on long runs.
+HEAP_SLACK = 4
+
+
 @dataclass
 class RealServer:
+    """One backend on a director's books.
+
+    ``active_conns`` and ``state`` change only through the owning
+    :class:`IPVS`'s methods, and ``weight`` is fixed once the server is
+    added: the director's scheduling index is updated in those methods,
+    so a direct write would leave it out of date.
+    """
+
     host: str
     port: int
     weight: int = 1
@@ -64,10 +92,12 @@ class RealServer:
     #: Connections currently assigned to this server.
     active_conns: int = 0
     state: ServerState = ServerState.ACTIVE
+    #: Insertion order on the director (the wlc tie-break).
+    seq: int = field(default=0, repr=False, compare=False)
 
     @property
     def schedulable(self) -> bool:
-        return self.state is ServerState.ACTIVE
+        return self.state is _ACTIVE
 
 
 @dataclass
@@ -112,7 +142,18 @@ class IPVS:
         self._servers: list[RealServer] = []
         #: Finalized removals, kept so stats conservation can be audited.
         self._removed: list[RealServer] = []
+        #: The ``ACTIVE`` servers, in ``_servers`` order.
+        self._active: list[RealServer] = []
+        #: wrr: ``_active`` with each server repeated ``weight`` times;
+        #: ``None`` until the next pick after a membership change.
+        self._expanded: list[RealServer] | None = None
         self._next = 0
+        self._seq = 0
+        #: wlc: ``(key, seq, active_conns, server)`` entries, at least one
+        #: current per ``ACTIVE`` server (see the module docstring).
+        self._heap: list[tuple[float, int, int, RealServer]] = []
+        self._wlc = scheduler == "wlc"
+        self._pick = self._pick_wlc if self._wlc else self._pick_wrr
         self.stats = IpvsStats()
 
     # ------------------------------------------------------------------
@@ -121,8 +162,13 @@ class IPVS:
     def add_server(self, host: str, port: int, weight: int = 1) -> RealServer:
         if weight < 1:
             raise ValueError(f"weight must be >= 1: {weight}")
-        server = RealServer(host, port, weight)
+        server = RealServer(host, port, weight, seq=self._seq)
+        self._seq += 1
         self._servers.append(server)
+        self._active.append(server)
+        self._expanded = None
+        if self._wlc:
+            self._push(server)
         self.stats.servers_added += 1
         return server
 
@@ -146,6 +192,7 @@ class IPVS:
             raise ValueError(f"server {host}:{port} is dead, not removable")
         if drain and server.active_conns > 0:
             if server.state is not ServerState.DRAINING:
+                self._deactivate(server)
                 server.state = ServerState.DRAINING
                 self.stats.drains_started += 1
             return 0
@@ -166,6 +213,8 @@ class IPVS:
         server = self._find(host, port)
         if server.state is ServerState.DEAD:
             return 0
+        if server.state is _ACTIVE:
+            self._deactivate(server)
         failed = server.active_conns
         server.active_conns = 0
         server.state = ServerState.DEAD
@@ -174,6 +223,8 @@ class IPVS:
         return failed
 
     def _finalize_removal(self, server: RealServer) -> None:
+        if server.state is _ACTIVE:
+            self._deactivate(server)
         self._servers.remove(server)
         self._removed.append(server)
         server.state = ServerState.REMOVED
@@ -185,7 +236,7 @@ class IPVS:
 
     @property
     def active_servers(self) -> list[RealServer]:
-        return [s for s in self._servers if s.state is ServerState.ACTIVE]
+        return list(self._active)
 
     @property
     def draining_servers(self) -> list[RealServer]:
@@ -200,23 +251,64 @@ class IPVS:
         Draining and dead servers never receive new work ("no requests
         routed to a removed backend").
         """
-        candidates = [s for s in self._servers if s.schedulable]
-        if not candidates:
-            raise RuntimeError("IPVS has no schedulable real servers")
-        if self.scheduler == "wlc":
-            server = min(
-                candidates,
-                key=lambda s: (s.active_conns + 1) / s.weight,
-            )
-        else:
-            expanded: list[RealServer] = []
-            for candidate in candidates:
-                expanded.extend([candidate] * candidate.weight)
-            server = expanded[self._next % len(expanded)]
-            self._next += 1
+        server = self._pick()
         server.served += 1
         self.stats.scheduled += 1
         return server
+
+    def _pick_wrr(self) -> RealServer:
+        expanded = self._expanded
+        if expanded is None:
+            expanded = []
+            for server in self._active:
+                expanded.extend([server] * server.weight)
+            self._expanded = expanded
+        if not expanded:
+            raise RuntimeError("IPVS has no schedulable real servers")
+        server = expanded[self._next % len(expanded)]
+        self._next += 1
+        return server
+
+    def _pick_wlc(self) -> RealServer:
+        heap = self._heap
+        while heap:
+            _, _, conns, server = heap[0]
+            if server.active_conns == conns and server.state is _ACTIVE:
+                return server
+            heappop(heap)
+        raise RuntimeError("IPVS has no schedulable real servers")
+
+    # ------------------------------------------------------------------
+    # Scheduling index
+    # ------------------------------------------------------------------
+    def _push(self, server: RealServer) -> None:
+        """Index ``server``'s current wlc key (it must be ``ACTIVE``)."""
+        conns = server.active_conns
+        key = (conns + 1) / server.weight
+        heap = self._heap
+        heappush(heap, (key, server.seq, conns, server))
+        if len(heap) > HEAP_SLACK * len(self._active):
+            self._compact()
+
+    def _compact(self) -> None:
+        heap = [
+            ((s.active_conns + 1) / s.weight, s.seq, s.active_conns, s)
+            for s in self._active
+        ]
+        heapify(heap)
+        self._heap = heap
+
+    def _deactivate(self, server: RealServer) -> None:
+        """Take an ``ACTIVE`` server out of the index (before its state
+        changes); its heap entries go stale and are dropped lazily."""
+        active = self._active
+        for i, candidate in enumerate(active):
+            if candidate is server:
+                del active[i]
+                break
+        self._expanded = None
+        if self._wlc and len(self._heap) > HEAP_SLACK * len(active):
+            self._compact()
 
     # ------------------------------------------------------------------
     # Connection lifecycle (IPVS balances per connection, not per request)
@@ -226,6 +318,8 @@ class IPVS:
         server = self.schedule()
         server.active_conns += 1
         self.stats.conns_opened += 1
+        if self._wlc:
+            self._push(server)
         return server
 
     def close_connection(self, server: RealServer) -> None:
@@ -236,7 +330,10 @@ class IPVS:
             )
         server.active_conns -= 1
         self.stats.conns_closed += 1
-        if (
+        if server.state is _ACTIVE:
+            if self._wlc:
+                self._push(server)
+        elif (
             server.state is ServerState.DRAINING
             and server.active_conns == 0
         ):

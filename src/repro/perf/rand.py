@@ -4,12 +4,19 @@ All stochastic behaviour in the simulator (request inter-arrival jitter,
 run-to-run noise used to produce error bars) flows through a
 :class:`DeterministicRng` seeded from the experiment id, so every experiment
 is exactly reproducible.
+
+The hot draws (``random``, ``randint``, ``expovariate``) return exactly
+what :class:`random.Random` returns for the same seed and call sequence,
+with fewer Python frames: ``random`` is the generator's own C method,
+``randint`` repeats CPython's ``getrandbits`` rejection sampling in one
+frame, and ``expovariate`` is CPython's ``-log(1.0 - random()) / rate``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from math import log
 
 
 class DeterministicRng:
@@ -21,6 +28,11 @@ class DeterministicRng:
             seed = int.from_bytes(digest[:8], "big")
         self.seed = seed
         self._rng = random.Random(seed)
+        #: A float in [0, 1), straight from the generator.
+        self.random = self._rng.random
+        #: A non-negative int of ``k`` random bits, straight from the
+        #: generator; the source of every integer draw.
+        self.getrandbits = self._rng.getrandbits
 
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent child stream named ``label``."""
@@ -32,17 +44,23 @@ class DeterministicRng:
     def expovariate(self, rate: float) -> float:
         if rate <= 0:
             raise ValueError(f"rate must be positive: {rate}")
-        return self._rng.expovariate(rate)
+        return -log(1.0 - self.random()) / rate
 
     def gauss_factor(self, rel_std: float) -> float:
         """A multiplicative noise factor centred on 1.0, clamped positive."""
         return max(0.05, self._rng.gauss(1.0, rel_std))
 
     def randint(self, lo: int, hi: int) -> int:
-        return self._rng.randint(lo, hi)
-
-    def random(self) -> float:
-        return self._rng.random()
+        """An int in ``[lo, hi]``, as ``random.Random.randint`` draws it."""
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({lo}, {hi})")
+        getrandbits = self.getrandbits
+        k = n.bit_length()  # not (n - 1): for n == 1 CPython draws 1 bit
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
 
     def choice(self, seq):
         return self._rng.choice(seq)

@@ -262,6 +262,7 @@ class ServeEngine:
                         loss_p = drop.param
 
                 shares = self._capacity_shares(states)
+                dead = fleet.dead_ids
                 outcomes = runner.run([
                     (
                         s,
@@ -270,7 +271,7 @@ class ServeEngine:
                             interval_idx=index,
                             t0_ns=t0,
                             t1_ns=t1,
-                            dead=fleet.dead_ids,
+                            dead=dead,
                             loss_p=loss_p,
                             share_by_backend=shares[s],
                         ),
@@ -310,7 +311,7 @@ class ServeEngine:
                     churned = set(result.churned_slots)
                     conns = new_state.conns
                     for slot in range(len(conns)):
-                        if conns[slot] in fleet.dead_ids:
+                        if conns[slot] in dead:
                             # The old connection died with its backend;
                             # the director schedules a fresh one.
                             conns[slot] = fleet.open_conn()

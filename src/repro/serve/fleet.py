@@ -40,7 +40,8 @@ class BackendFleet:
         self._next_id = 0
         self._server_of: dict[int, RealServer] = {}
         self._id_of: dict[tuple[str, int], int] = {}
-        self._dead: set[int] = set()
+        #: Replaced, never mutated, on each death: readers may hold it.
+        self._dead: frozenset[int] = frozenset()
         #: (backend_id, ready_at_ns) cold spawns not yet serving.
         self._pending: list[tuple[int, float]] = []
         for _ in range(cluster.n_backends):
@@ -83,7 +84,7 @@ class BackendFleet:
         """Chaos backend death; returns the connections that died."""
         server = self._server_of[backend_id]
         failed = self.ipvs.kill_server(server.host, server.port)
-        self._dead.add(backend_id)
+        self._dead = self._dead | {backend_id}
         return failed
 
     # -- connections ---------------------------------------------------
@@ -98,7 +99,7 @@ class BackendFleet:
     # -- views ---------------------------------------------------------
     @property
     def dead_ids(self) -> frozenset[int]:
-        return frozenset(self._dead)
+        return self._dead
 
     def alive_ids(self) -> list[int]:
         """Backends accepting new connections, in id order."""

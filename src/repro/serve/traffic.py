@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import log
 
 from repro.perf.rand import DeterministicRng
 
@@ -138,47 +139,80 @@ def run_shard_interval(
     state: ShardState,
     snap: ShardSnapshot,
 ) -> tuple[ShardIntervalResult, ShardState]:
-    """One shard's interval — pure, deterministic, process-safe."""
+    """One shard's interval — pure, deterministic, process-safe.
+
+    Per arrival the stream yields, in order: the exponential gap, the
+    Pareto factor (:func:`heavy_tail_factor`), the slot
+    (``randint(0, n_conns - 1)``), the request class, then the loss and
+    churn draws when they apply.  The loop binds the generator's
+    ``random`` and ``getrandbits`` once and spells those draws out with
+    :class:`~repro.perf.rand.DeterministicRng`'s float expressions, so
+    every value is bit-identical to calling the helpers.
+    """
+    rate = cfg.rate_rps
+    if rate <= 0:
+        raise ValueError(f"rate must be positive: {rate}")
+    n_conns = len(state.conns)
+    if n_conns < 1:
+        raise ValueError("a shard needs at least one connection")
     rng = DeterministicRng(
         f"{cfg.seed}:shard{shard_idx}:iv{snap.interval_idx}"
     )
-    n_buckets = len(cfg.buckets)
+    random = rng.random
+    getrandbits = rng.getrandbits
+    slot_bits = n_conns.bit_length()
+    alpha = cfg.tail_alpha
+    tail_scale = (alpha - 1.0) / alpha
+    tail_exp = -1.0 / alpha
+    buckets = cfg.buckets
+    n_buckets = len(buckets)
     counts = [0] * n_buckets
     served: dict[int, int] = {}
     busy: dict[int, float] = {}
     churned: set[int] = set()
     arrivals = completed = errors = retransmits = 0
     lat_sum = 0.0
-    n_conns = len(state.conns)
     director_share = float(cfg.shards)
     share_of = dict(snap.share_by_backend)
     default_share = float(cfg.shards)
     dserv = cfg.director_service_ns
     bserv_base = cfg.backend_service_ns
+    setup_ns = cfg.conn_setup_ns
+    cum_weights = cfg.mix_cum_weights
+    mix_work = cfg.mix_work
+    last_class = len(mix_work) - 1
+    churn_p = cfg.churn_p
+    loss_p = snap.loss_p
+    dead = snap.dead
+    conns = state.conns
+    fresh = state.fresh
     dfree = state.director_free_ns
     bfree = state.backend_free_ns
+    t1 = snap.t1_ns
 
     t = snap.t0_ns
     while True:
-        gap = rng.expovariate(cfg.rate_rps) * heavy_tail_factor(
-            rng, cfg.tail_alpha
+        gap = -log(1.0 - random()) / rate * (
+            tail_scale * (1.0 - random()) ** tail_exp
         )
         t += gap * 1e9
-        if t >= snap.t1_ns:
+        if t >= t1:
             break
         arrivals += 1
-        slot = rng.randint(0, n_conns - 1)
-        klass = bisect_left(cfg.mix_cum_weights, rng.random())
-        if klass >= len(cfg.mix_work):  # float-edge guard
-            klass = len(cfg.mix_work) - 1
-        backend = state.conns[slot]
-        if backend in snap.dead:
+        slot = getrandbits(slot_bits)
+        while slot >= n_conns:
+            slot = getrandbits(slot_bits)
+        klass = bisect_left(cum_weights, random())
+        if klass > last_class:  # float-edge guard
+            klass = last_class
+        backend = conns[slot]
+        if backend in dead:
             # The connection died with its backend; the director
             # re-schedules it at the next control tick.
             errors += 1
             continue
         penalty = 0.0
-        if snap.loss_p and rng.random() < snap.loss_p:
+        if loss_p and random() < loss_p:
             # One bounded retransmit always lands (RetryPolicy spirit).
             retransmits += 1
             penalty = cfg.retry_penalty_ns
@@ -186,12 +220,12 @@ def run_shard_interval(
         wait_d = dfree - t if dfree > t else 0.0
         dfree = (dfree if dfree > t else t) + dserv * director_share
         at_backend = t + wait_d + dserv
-        if state.fresh[slot]:
-            at_backend += cfg.conn_setup_ns
-            penalty += cfg.conn_setup_ns
-            state.fresh[slot] = False
+        if fresh[slot]:
+            at_backend += setup_ns
+            penalty += setup_ns
+            fresh[slot] = False
         # Backend tier.
-        service = bserv_base * cfg.mix_work[klass]
+        service = bserv_base * mix_work[klass]
         free = bfree.get(backend, 0.0)
         wait_b = free - at_backend if free > at_backend else 0.0
         bfree[backend] = (
@@ -200,17 +234,16 @@ def run_shard_interval(
         latency = wait_d + dserv + wait_b + service + penalty
         completed += 1
         lat_sum += latency
-        index = bisect_left(cfg.buckets, latency)
+        index = bisect_left(buckets, latency)
         if index < n_buckets:
             counts[index] += 1
         served[backend] = served.get(backend, 0) + 1
         busy[backend] = busy.get(backend, 0.0) + service
-        if slot not in churned and rng.random() < cfg.churn_p:
+        if slot not in churned and random() < churn_p:
             churned.add(slot)
 
     # Prune drained backlogs; sum the residue in sorted order so float
     # accumulation is identical no matter how the dict was built.
-    t1 = snap.t1_ns
     queue_ns = dfree - t1 if dfree > t1 else 0.0
     kept: dict[int, float] = {}
     for backend in sorted(bfree):

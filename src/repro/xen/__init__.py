@@ -33,11 +33,7 @@ from repro.xen.migration import (
     checkpoint_memory,
     restore_memory,
 )
-from repro.xen.memory_mgmt import (
-    BalloonDriver,
-    BalloonError,
-    TranscendentMemory,
-)
+from repro.xen.memory_mgmt import BalloonDriver, BalloonError
 from repro.xen.xenstore import XenStore, XsTransaction
 from repro.xen.blkdev import (
     BlockStats,
@@ -68,7 +64,6 @@ __all__ = [
     "restore_memory",
     "BalloonDriver",
     "BalloonError",
-    "TranscendentMemory",
     "XenStore",
     "XsTransaction",
     "BlockStats",

@@ -1,4 +1,4 @@
-"""Dynamic memory management: ballooning and Transcendent Memory (§4.5).
+"""Dynamic memory management: ballooning (§4.5).
 
     "Dynamic memory allocation and over-subscription of Xen VMs have been
      studied in literature, leveraging mechanisms such as ballooning.  In
@@ -6,20 +6,16 @@
      which can be leveraged by Linux kernels in different VMs for
      efficiently sharing the page cache and RAM-based swap space."
 
-The prototype's static-size limitation is lifted here:
-
-* :class:`BalloonDriver` — a per-domain balloon that inflates (returns
-  pages to Xen) and deflates (reclaims them), bounded by the domain's
-  configured maximum and the hypervisor's free pool;
-* :class:`TranscendentMemory` — the two tmem pools: *cleancache*
-  (ephemeral second-chance page cache — pages may vanish under pressure)
-  and *frontswap* (persistent RAM-based swap — pages must survive until
-  the guest takes them back).
+The prototype's static-size limitation is lifted here by
+:class:`BalloonDriver`, a per-domain balloon that inflates (returns pages
+to Xen) and deflates (reclaims them), bounded by the domain's configured
+maximum and the hypervisor's free pool.  No workload uses tmem, so it is
+not modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.xen.hypervisor import Domain, XenHypervisor
 
@@ -83,90 +79,3 @@ class BalloonDriver:
         self.xen.hypercalls.call("memory_op")
         self.domain.memory_mb = target
         self.stats.deflations += 1
-
-
-@dataclass
-class TmemStats:
-    cleancache_puts: int = 0
-    cleancache_hits: int = 0
-    cleancache_misses: int = 0
-    cleancache_evictions: int = 0
-    frontswap_puts: int = 0
-    frontswap_gets: int = 0
-
-
-class TranscendentMemory:
-    """The tmem pools shared by all domains on one hypervisor."""
-
-    def __init__(self, capacity_pages: int) -> None:
-        if capacity_pages <= 0:
-            raise ValueError(
-                f"capacity must be positive: {capacity_pages}"
-            )
-        self.capacity_pages = capacity_pages
-        #: (domid, key) -> page payload.  Insertion order doubles as the
-        #: eviction (FIFO second-chance) order for cleancache.
-        self._cleancache: dict[tuple[int, int], bytes] = {}
-        self._frontswap: dict[tuple[int, int], bytes] = {}
-        self.stats = TmemStats()
-
-    @property
-    def used_pages(self) -> int:
-        return len(self._cleancache) + len(self._frontswap)
-
-    @property
-    def free_pages(self) -> int:
-        return self.capacity_pages - self.used_pages
-
-    # ------------------------------------------------------------------
-    # Cleancache: ephemeral page cache. Puts may be dropped, cached pages
-    # may be evicted; gets may therefore miss.
-    # ------------------------------------------------------------------
-    def cleancache_put(self, domid: int, key: int, page: bytes) -> bool:
-        if self.free_pages <= 0 and not self._evict_cleancache():
-            return False  # frontswap holds everything: drop the put
-        self._cleancache[(domid, key)] = bytes(page)
-        self.stats.cleancache_puts += 1
-        return True
-
-    def cleancache_get(self, domid: int, key: int) -> bytes | None:
-        page = self._cleancache.pop((domid, key), None)
-        if page is None:
-            self.stats.cleancache_misses += 1
-            return None
-        self.stats.cleancache_hits += 1
-        return page
-
-    def cleancache_flush_domain(self, domid: int) -> int:
-        victims = [k for k in self._cleancache if k[0] == domid]
-        for key in victims:
-            del self._cleancache[key]
-        return len(victims)
-
-    def _evict_cleancache(self) -> bool:
-        if not self._cleancache:
-            return False
-        oldest = next(iter(self._cleancache))
-        del self._cleancache[oldest]
-        self.stats.cleancache_evictions += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # Frontswap: persistent RAM-based swap. Puts fail when full (the
-    # guest falls back to disk); successful puts MUST be retrievable.
-    # ------------------------------------------------------------------
-    def frontswap_put(self, domid: int, key: int, page: bytes) -> bool:
-        if (domid, key) in self._frontswap:
-            self._frontswap[(domid, key)] = bytes(page)
-            return True
-        if self.free_pages <= 0 and not self._evict_cleancache():
-            return False
-        self._frontswap[(domid, key)] = bytes(page)
-        self.stats.frontswap_puts += 1
-        return True
-
-    def frontswap_get(self, domid: int, key: int) -> bytes | None:
-        page = self._frontswap.pop((domid, key), None)
-        if page is not None:
-            self.stats.frontswap_gets += 1
-        return page

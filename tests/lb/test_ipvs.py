@@ -1,8 +1,10 @@
 """IPVS scheduler, live server churn, and accounting conservation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.guest.ipvs import IPVS, IpvsMode, ServerState
+from repro.guest.ipvs import HEAP_SLACK, IPVS, IpvsMode, ServerState
 from repro.guest.modules import ModuleLoadError, ModuleRegistry
 from repro.platforms.x_container import XContainerPlatform
 
@@ -180,6 +182,99 @@ class TestConservation:
         ipvs = make_ipvs("wrr")
         for _ in range(50):
             ipvs.schedule()
+        assert ipvs.conservation_ok()
+
+
+#: One director operation: (kind, index into the candidates, weight, drain).
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "open", "open", "open", "open", "close",
+                         "close", "close", "remove", "kill"]),
+        st.integers(0, 1_000),
+        st.integers(1, 4),
+        st.booleans(),
+    ),
+    max_size=120,
+)
+
+
+def oracle_wlc(ipvs):
+    """The linear wlc scan: ``min`` over the list order."""
+    candidates = [s for s in ipvs.servers if s.schedulable]
+    return min(candidates, key=lambda s: (s.active_conns + 1) / s.weight)
+
+
+def oracle_wrr_expansion(ipvs):
+    expanded = []
+    for server in ipvs.servers:
+        if server.schedulable:
+            expanded.extend([server] * server.weight)
+    return expanded
+
+
+class TestIndexedScheduling:
+    """The indexed schedulers pick exactly what the linear scans over the
+    server list pick, through adds (weights 1-4, so ties such as 1/3 vs
+    2/6 occur), connection churn, drains, removals and deaths."""
+
+    @pytest.mark.parametrize("scheduler", ["wlc", "wrr"])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=OPS)
+    def test_picks_match_linear_scan(self, scheduler, ops):
+        ipvs = make_ipvs(scheduler, backends=0)
+        hosts = 0
+        conns = []  # one entry per open connection
+        oracle_next = 0
+        for kind, index, weight, drain in ops:
+            on_books = [
+                s for s in ipvs.servers if s.state is not ServerState.DEAD
+            ]
+            if kind == "add":
+                hosts += 1
+                ipvs.add_server(f"10.1.{hosts // 250}.{hosts % 250}", 80,
+                                weight=weight)
+            elif kind == "open":
+                if not ipvs.active_servers:
+                    with pytest.raises(RuntimeError, match="no schedulable"):
+                        ipvs.open_connection()
+                    continue
+                if scheduler == "wlc":
+                    expected = oracle_wlc(ipvs)
+                else:
+                    expanded = oracle_wrr_expansion(ipvs)
+                    expected = expanded[oracle_next % len(expanded)]
+                    oracle_next += 1
+                server = ipvs.open_connection()
+                assert server is expected
+                conns.append(server)
+            elif kind == "close":
+                live = [s for s in conns if s.active_conns > 0]
+                if live:
+                    server = live[index % len(live)]
+                    ipvs.close_connection(server)
+                    conns.remove(server)
+            elif kind == "remove" and on_books:
+                server = on_books[index % len(on_books)]
+                ipvs.remove_server(server.host, server.port, drain=drain)
+            elif kind == "kill" and on_books:
+                server = on_books[index % len(on_books)]
+                ipvs.kill_server(server.host, server.port)
+            assert ipvs.active_servers == [
+                s for s in ipvs.servers if s.state is ServerState.ACTIVE
+            ]
+            assert len(ipvs._heap) <= HEAP_SLACK * len(ipvs.active_servers)
+            assert ipvs.conservation_ok()
+
+    def test_heap_stays_bounded_over_load_waves(self):
+        """Closes push lower keys and leave the higher ones stale below
+        the top, where lazy deletion never reaches them: only the
+        rebuild keeps the heap bounded."""
+        ipvs = make_ipvs("wlc", backends=3)
+        for _ in range(5):
+            conns = [ipvs.open_connection() for _ in range(200)]
+            for server in conns:
+                ipvs.close_connection(server)
+                assert len(ipvs._heap) <= HEAP_SLACK * 3
         assert ipvs.conservation_ok()
 
 

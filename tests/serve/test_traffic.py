@@ -1,5 +1,9 @@
 """The traffic generator: arrival statistics and shard purity."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.perf.rand import DeterministicRng
 from repro.serve.traffic import (
     SERVE_LATENCY_BUCKETS_NS,
@@ -144,6 +148,48 @@ class TestShardInterval:
             cfg, 0, initial_shard_state([0, 1]), make_snapshot()
         )
         assert state.fresh == [False, False]
+
+    def test_rejects_non_positive_rate(self):
+        with pytest.raises(ValueError, match="rate"):
+            run_shard_interval(
+                make_config(rate_rps=0.0), 0, initial_shard_state([0]),
+                make_snapshot(),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shard=st.integers(0, 7),
+        interval=st.integers(0, 50),
+        n_conns=st.sampled_from([1, 2, 3, 8, 24, 100, 256]),
+    )
+    def test_draws_match_the_rng_helpers(self, shard, interval, n_conns):
+        """The loop's inlined draws are the helpers' draws: replaying
+        the stream through ``expovariate``, :func:`heavy_tail_factor`,
+        ``randint`` and ``random`` yields the same arrivals and the same
+        churned slots."""
+        cfg = make_config(rate_rps=400.0)
+        snap = make_snapshot(interval_idx=interval, t1_ns=50e6)
+        result, _ = run_shard_interval(
+            cfg, shard, initial_shard_state(list(range(n_conns))), snap
+        )
+        rng = DeterministicRng(f"{cfg.seed}:shard{shard}:iv{interval}")
+        t = snap.t0_ns
+        arrivals = 0
+        churned = set()
+        while True:
+            gap = rng.expovariate(cfg.rate_rps) * heavy_tail_factor(
+                rng, cfg.tail_alpha
+            )
+            t += gap * 1e9
+            if t >= snap.t1_ns:
+                break
+            arrivals += 1
+            slot = rng.randint(0, n_conns - 1)
+            rng.random()  # request class
+            if slot not in churned and rng.random() < cfg.churn_p:
+                churned.add(slot)
+        assert result.arrivals == arrivals
+        assert result.churned_slots == tuple(sorted(churned))
 
     def test_buckets_cover_subsecond_latencies(self):
         assert SERVE_LATENCY_BUCKETS_NS[0] == 50_000.0

@@ -13,7 +13,9 @@ from repro.cli import build_parser, main
 #: separators=(',', ':'), sort_keys=True))" > tests/golden/chaos_seed0.json``
 #: (likewise ``analyze --format json`` into ``analyze.json``, ``sanitize
 #: --seed 0 --format json`` into ``sanitize_seed0.json`` and ``sanitize
-#: fixtures --format json`` into ``sanitize_fixtures.json``).  Text
+#: fixtures --format json`` into ``sanitize_fixtures.json``; ``serve
+#: fleet-100 --seed 0 --format json --workers 1`` into
+#: ``serve_fleet100_seed0.json``, likewise ``ci-small``).  Text
 #: outputs (``replay_*.txt``, from ``chaos --replay
 #: tests/faults/regressions/<name>.json``) are stored verbatim.
 GOLDEN = Path(__file__).parent / "golden"
@@ -345,6 +347,23 @@ class TestGoldenOutputs:
         assert main(["sanitize", "fixtures", "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert out == golden("sanitize_fixtures.json")
+
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [
+            ("fleet-100", "serve_fleet100_seed0.json"),
+            ("ci-small", "serve_ci_small_seed0.json"),
+        ],
+    )
+    def test_serve_json_is_byte_identical(self, scenario, name, capsys):
+        """Pins every director choice: which backend each new and
+        re-scheduled connection lands on shapes every interval row."""
+        assert main([
+            "serve", scenario, "--seed", "0", "--format", "json",
+            "--workers", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out == golden(name)
 
     @pytest.mark.parametrize("name", ["blk_lost_write", "fleet_skew"])
     def test_regression_replay_is_byte_identical(self, name, capsys):

@@ -2,11 +2,7 @@ import pytest
 
 from repro.perf.clock import SimClock
 from repro.xen.hypervisor import XenHypervisor
-from repro.xen.memory_mgmt import (
-    BalloonDriver,
-    BalloonError,
-    TranscendentMemory,
-)
+from repro.xen.memory_mgmt import BalloonDriver, BalloonError
 
 
 def make_balloon(memory_mb=512, **kwargs):
@@ -58,61 +54,3 @@ class TestBalloon:
             balloon.inflate(0)
         with pytest.raises(ValueError):
             balloon.deflate(-1)
-
-
-class TestTranscendentMemory:
-    def test_cleancache_roundtrip(self):
-        tmem = TranscendentMemory(capacity_pages=16)
-        assert tmem.cleancache_put(1, 100, b"page-data")
-        assert tmem.cleancache_get(1, 100) == b"page-data"
-
-    def test_cleancache_get_consumes(self):
-        tmem = TranscendentMemory(16)
-        tmem.cleancache_put(1, 100, b"x")
-        tmem.cleancache_get(1, 100)
-        assert tmem.cleancache_get(1, 100) is None
-        assert tmem.stats.cleancache_misses == 1
-
-    def test_domains_are_namespaced(self):
-        tmem = TranscendentMemory(16)
-        tmem.cleancache_put(1, 100, b"dom1")
-        tmem.cleancache_put(2, 100, b"dom2")
-        assert tmem.cleancache_get(2, 100) == b"dom2"
-
-    def test_cleancache_evicts_under_pressure(self):
-        """Ephemeral pool: old pages vanish when the pool fills."""
-        tmem = TranscendentMemory(capacity_pages=2)
-        tmem.cleancache_put(1, 1, b"a")
-        tmem.cleancache_put(1, 2, b"b")
-        tmem.cleancache_put(1, 3, b"c")  # evicts the oldest
-        assert tmem.stats.cleancache_evictions == 1
-        assert tmem.cleancache_get(1, 1) is None
-        assert tmem.cleancache_get(1, 3) == b"c"
-
-    def test_frontswap_is_persistent(self):
-        """RAM-based swap must never silently lose accepted pages."""
-        tmem = TranscendentMemory(capacity_pages=2)
-        assert tmem.frontswap_put(1, 1, b"swapped")
-        # Fill the rest with cleancache, then overflow: cleancache is
-        # sacrificed, frontswap pages survive.
-        tmem.cleancache_put(1, 50, b"cache")
-        assert tmem.frontswap_put(1, 2, b"more-swap")
-        assert tmem.frontswap_get(1, 1) == b"swapped"
-        assert tmem.frontswap_get(1, 2) == b"more-swap"
-
-    def test_frontswap_put_fails_when_truly_full(self):
-        tmem = TranscendentMemory(capacity_pages=1)
-        assert tmem.frontswap_put(1, 1, b"a")
-        assert not tmem.frontswap_put(1, 2, b"b")
-
-    def test_flush_domain(self):
-        tmem = TranscendentMemory(16)
-        tmem.cleancache_put(1, 1, b"a")
-        tmem.cleancache_put(1, 2, b"b")
-        tmem.cleancache_put(2, 1, b"c")
-        assert tmem.cleancache_flush_domain(1) == 2
-        assert tmem.cleancache_get(2, 1) == b"c"
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            TranscendentMemory(0)
