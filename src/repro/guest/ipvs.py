@@ -26,7 +26,8 @@ Two schedulers are modelled (the ``ip_vs_rr`` / ``ip_vs_wlc`` modules):
 Linux's ``ip_vs_wlc`` scans every real server per connection; what the
 model must keep is that choice, not its host cost.  The director
 therefore keeps an index of its schedulable servers (insertion order,
-for wrr and :attr:`IPVS.active_servers`) and, for wlc, a heap keyed by
+which wrr expands by weight on each pick and
+:attr:`IPVS.active_servers` copies) and, for wlc, a heap keyed by
 ``((active + 1) / weight, insertion seq)``.  Servers are only appended
 and removed in order, so insertion seq orders exactly as list position
 does and the heap top is the server ``min`` over the list would pick.
@@ -144,16 +145,12 @@ class IPVS:
         self._removed: list[RealServer] = []
         #: The ``ACTIVE`` servers, in ``_servers`` order.
         self._active: list[RealServer] = []
-        #: wrr: ``_active`` with each server repeated ``weight`` times;
-        #: ``None`` until the next pick after a membership change.
-        self._expanded: list[RealServer] | None = None
         self._next = 0
         self._seq = 0
         #: wlc: ``(key, seq, active_conns, server)`` entries, at least one
         #: current per ``ACTIVE`` server (see the module docstring).
         self._heap: list[tuple[float, int, int, RealServer]] = []
         self._wlc = scheduler == "wlc"
-        self._pick = self._pick_wlc if self._wlc else self._pick_wrr
         self.stats = IpvsStats()
 
     # ------------------------------------------------------------------
@@ -166,7 +163,6 @@ class IPVS:
         self._seq += 1
         self._servers.append(server)
         self._active.append(server)
-        self._expanded = None
         if self._wlc:
             self._push(server)
         self.stats.servers_added += 1
@@ -251,18 +247,15 @@ class IPVS:
         Draining and dead servers never receive new work ("no requests
         routed to a removed backend").
         """
-        server = self._pick()
+        server = self._pick_wlc() if self._wlc else self._pick_wrr()
         server.served += 1
         self.stats.scheduled += 1
         return server
 
     def _pick_wrr(self) -> RealServer:
-        expanded = self._expanded
-        if expanded is None:
-            expanded = []
-            for server in self._active:
-                expanded.extend([server] * server.weight)
-            self._expanded = expanded
+        expanded: list[RealServer] = []
+        for server in self._active:
+            expanded.extend([server] * server.weight)
         if not expanded:
             raise RuntimeError("IPVS has no schedulable real servers")
         server = expanded[self._next % len(expanded)]
@@ -306,7 +299,6 @@ class IPVS:
             if candidate is server:
                 del active[i]
                 break
-        self._expanded = None
         if self._wlc and len(self._heap) > HEAP_SLACK * len(active):
             self._compact()
 

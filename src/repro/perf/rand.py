@@ -5,18 +5,15 @@ run-to-run noise used to produce error bars) flows through a
 :class:`DeterministicRng` seeded from the experiment id, so every experiment
 is exactly reproducible.
 
-The hot draws (``random``, ``randint``, ``expovariate``) return exactly
-what :class:`random.Random` returns for the same seed and call sequence,
-with fewer Python frames: ``random`` is the generator's own C method,
-``randint`` repeats CPython's ``getrandbits`` rejection sampling in one
-frame, and ``expovariate`` is CPython's ``-log(1.0 - random()) / rate``.
+Every draw is :class:`random.Random`'s own; ``random`` and
+``getrandbits`` are the generator's bound C methods, so a hot loop can
+bind them once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from math import log
 
 
 class DeterministicRng:
@@ -44,23 +41,14 @@ class DeterministicRng:
     def expovariate(self, rate: float) -> float:
         if rate <= 0:
             raise ValueError(f"rate must be positive: {rate}")
-        return -log(1.0 - self.random()) / rate
+        return self._rng.expovariate(rate)
 
     def gauss_factor(self, rel_std: float) -> float:
         """A multiplicative noise factor centred on 1.0, clamped positive."""
         return max(0.05, self._rng.gauss(1.0, rel_std))
 
     def randint(self, lo: int, hi: int) -> int:
-        """An int in ``[lo, hi]``, as ``random.Random.randint`` draws it."""
-        n = hi - lo + 1
-        if n <= 0:
-            raise ValueError(f"empty range for randint({lo}, {hi})")
-        getrandbits = self.getrandbits
-        k = n.bit_length()  # not (n - 1): for n == 1 CPython draws 1 bit
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return lo + r
+        return self._rng.randint(lo, hi)
 
     def choice(self, seq):
         return self._rng.choice(seq)

@@ -145,9 +145,12 @@ def run_shard_interval(
     Pareto factor (:func:`heavy_tail_factor`), the slot
     (``randint(0, n_conns - 1)``), the request class, then the loss and
     churn draws when they apply.  The loop binds the generator's
-    ``random`` and ``getrandbits`` once and spells those draws out with
-    :class:`~repro.perf.rand.DeterministicRng`'s float expressions, so
-    every value is bit-identical to calling the helpers.
+    ``random`` and ``getrandbits`` once and spells those draws out as
+    :class:`random.Random` computes them (``expovariate`` is
+    ``-log(1.0 - random()) / rate``; ``randint`` rejects
+    ``getrandbits(n.bit_length())`` draws until one is below ``n``), so
+    every value is bit-identical to calling the helpers
+    (``tests/serve/test_traffic.py`` replays the stream through them).
     """
     rate = cfg.rate_rps
     if rate <= 0:
