@@ -74,6 +74,11 @@ def _positive_int(text: str) -> int:
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import experiment_ids, run_experiment
 
+    if args.id != "all" and args.id not in experiment_ids():
+        known = ", ".join(experiment_ids())
+        raise SystemExit(
+            f"unknown experiment {args.id!r} (known: {known})"
+        )
     ids = experiment_ids() if args.id == "all" else [args.id]
     for eid in ids:
         for result in run_experiment(eid):
@@ -210,7 +215,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     output) on a fresh world instead and prints the deterministic
     trace; replaying the same file is byte-identical.
     """
-    from repro.faults.registry import get_scenario, scenario_names
+    from repro.faults import get_scenario, scenario_names
     from repro.faults.report import run_scenarios
 
     if args.replay is not None:
@@ -296,7 +301,7 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
     from repro.sanitize import FIXTURES, run_sanitize
 
     if args.list:
-        from repro.faults.registry import scenario_names
+        from repro.faults import scenario_names
 
         for name in scenario_names():
             print(f"chaos:{name}")

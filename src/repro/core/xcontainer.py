@@ -50,7 +50,6 @@ class XContainer:
         icache: bool = True,
         tracecache: bool = True,
         probe=None,
-        telemetry: bool = True,
     ) -> None:
         self.name = name
         self.vcpus = vcpus
@@ -78,7 +77,6 @@ class XContainer:
         self._io_drivers: dict[str, object] = {}
         #: Lazily-built :class:`repro.obs.Telemetry` (see :meth:`telemetry`).
         self._telemetry = None
-        self._telemetry_enabled = telemetry
         self.cpus: list[CPU] = []
         self.cpu = self.add_vcpu()
         self._sanitizers = probe.sanitizers if probe is not None else None
@@ -276,11 +274,6 @@ class XContainer:
         bindings read the substrate structs at collection time, so
         enabling telemetry never changes simulated bytes or costs.
         """
-        if not self._telemetry_enabled:
-            raise RuntimeError(
-                f"telemetry disabled for container {self.name!r} "
-                f"(constructed with telemetry=False)"
-            )
         if self._telemetry is None:
             from repro.obs import wire
             from repro.obs.facade import Telemetry

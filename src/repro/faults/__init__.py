@@ -12,16 +12,14 @@ repository *tests* that claim instead of asserting it.  It provides:
 * :mod:`~repro.faults.retry` — bounded retry/backoff policies the
   frontends adopt so injected faults are survivable;
 * :mod:`~repro.faults.chaos` / :mod:`~repro.faults.scenarios` — named
-  failure scenarios with recovery invariants;
-* :mod:`~repro.faults.registry` — the decorator-based scenario registry
-  (:func:`~repro.faults.registry.scenario`,
-  :func:`~repro.faults.registry.register`,
-  :func:`~repro.faults.registry.get_scenario`), the one catalog lookup
-  surface;
+  failure scenarios with recovery invariants; the catalog is a plain
+  ordered tuple, looked up with :func:`get_scenario` and listed with
+  :func:`scenario_names`;
 * :mod:`~repro.faults.report` — the ``repro chaos`` run report.
 
 Only the light pieces are imported eagerly (substrates import site names
-and retry policies from here); the chaos harness is imported on demand.
+and retry policies from here); the catalog is built on its first lookup,
+so importing this package does not import :mod:`repro.fuzz`.
 """
 
 from repro.faults.plan import (
@@ -35,14 +33,8 @@ from repro.faults.plan import (
     SiteCounters,
     TimeWindow,
 )
-from repro.faults.registry import (
-    get_scenario,
-    list_scenarios,
-    register,
-    scenario,
-    scenario_names,
-)
 from repro.faults.retry import RetryExhausted, RetryPolicy
+from repro.faults.scenarios import get_scenario, scenario_names
 
 __all__ = [
     "Every",
@@ -57,8 +49,5 @@ __all__ = [
     "SiteCounters",
     "TimeWindow",
     "get_scenario",
-    "list_scenarios",
-    "register",
-    "scenario",
     "scenario_names",
 ]

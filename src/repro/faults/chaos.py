@@ -2,9 +2,10 @@
 
 A :class:`Scenario` names a failure story (backend death under memcached
 load, migration under a dirty-page storm, NGINX at 5 % packet loss...),
-carries a default :class:`~repro.faults.plan.FaultPlan` factory, and a
-body that drives real substrate objects while asserting *recovery
-invariants* — properties that must hold even while faults are landing.
+carries the :class:`~repro.faults.plan.FaultSpec` tuple of its default
+plan, and a body that drives real substrate objects while asserting
+*recovery invariants* — properties that must hold even while faults are
+landing.
 
 Runs are deterministic end to end: the harness derives each scenario's
 plan seed from the run seed and the scenario name, the body draws any
@@ -19,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.faults.plan import FaultEngine, FaultPlan, SiteCounters
+from repro.faults.plan import (
+    FaultEngine,
+    FaultPlan,
+    FaultSpec,
+    SiteCounters,
+)
 from repro.faults.retry import RetryExhausted
 from repro.perf.clock import SimClock
 from repro.perf.rand import DeterministicRng
@@ -63,8 +69,8 @@ class Scenario:
     #: Substrates this scenario guarantees ≥1 injection into (with its
     #: default plan) — the acceptance-coverage ledger.
     substrates: tuple[str, ...]
-    #: Builds the default plan for a given seed.
-    default_plan: Callable[[int | str], FaultPlan]
+    #: The default plan's specs; the harness seeds them per run.
+    specs: tuple[FaultSpec, ...]
     #: Drives the substrates; returns deterministic result details.
     body: Callable[[ScenarioContext], dict]
 
@@ -84,8 +90,8 @@ class Scenario:
         steps through a :class:`~repro.fuzz.world.FuzzWorld` wired to the
         scenario context's clock and probe, checking
         the full fuzz invariant set after every step.  Promoted shrunk
-        failures become first-class catalog entries this way — register
-        the result with :func:`repro.faults.registry.register`.
+        failures become first-class catalog entries this way: add the
+        result to :func:`repro.faults.scenarios.catalog`.
 
         The default plan is empty: faults enter through ``inject_fault``
         steps, which :meth:`~repro.faults.plan.FaultEngine.arm` specs on
@@ -103,7 +109,7 @@ class Scenario:
             name=name,
             description=description,
             substrates=tuple(substrates),
-            default_plan=lambda seed: FaultPlan((), seed),
+            specs=(),
             body=body,
         )
 
@@ -152,7 +158,7 @@ class ChaosHarness:
 
         seed = self.scenario_seed(scenario)
         if plan is None:
-            plan = scenario.default_plan(seed)
+            plan = FaultPlan(scenario.specs, seed)
         clock = SimClock()
         engine = plan.compile(clock)
         context = ScenarioContext(

@@ -133,9 +133,6 @@ class FaultPlan:
         """Build the engine the substrates' probes fire into."""
         return FaultEngine(self, clock=clock)
 
-    def reseeded(self, seed: int | str) -> "FaultPlan":
-        return FaultPlan(self.specs, seed)
-
     def describe(self) -> str:
         lines = [f"seed={self.seed}"]
         lines += [f"  {spec.describe()}" for spec in self.specs]

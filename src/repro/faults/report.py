@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults.registry import get_scenario, scenario_names
 from repro.faults.chaos import ChaosHarness, ScenarioResult
+from repro.faults.scenarios import get_scenario, scenario_names
 from repro.faults.sites import CORE_SUBSTRATES
 
 _RULE = "-" * 72

@@ -13,34 +13,26 @@ Determinism: plans use occurrence-based triggers wherever an exact count
 is asserted, and seeded :class:`~repro.faults.plan.Probability` triggers
 where realism matters more (packet loss, vCPU stalls); either way the
 whole run replays byte-identically from ``repro chaos --seed S``.
+
+The catalog is plain data: :func:`catalog` is the ordered tuple (its
+order is the report's row order), :func:`scenario_names` its names, and
+:func:`get_scenario` the lookup by name.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from repro.faults import sites
 from repro.faults.chaos import Scenario, ScenarioContext
-from repro.faults.plan import Every, FaultPlan, FaultSpec, Nth, Probability
+from repro.faults.plan import Every, FaultSpec, Nth, Probability
 from repro.faults.retry import RetryPolicy
 
 
 # ---------------------------------------------------------------------------
 # 1. Backend death under memcached load, then Remus failover
 # ---------------------------------------------------------------------------
-
-
-def _plan_backend_death(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(sites.NET_BACKEND, "kill", Every(120), limit=3),
-            FaultSpec(sites.NET_RING, "stall", Every(100), param=3.0),
-            FaultSpec(sites.GRANT_MAP, "fail", Nth(2), limit=1),
-            FaultSpec(sites.EVENT_NOTIFY, "drop", Probability(0.01)),
-            FaultSpec(sites.REMUS_ACK, "fail", Nth(8)),
-        ),
-        seed,
-    )
 
 
 def _run_backend_death(ctx: ScenarioContext) -> dict:
@@ -117,19 +109,6 @@ def _run_backend_death(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _plan_migration_storm(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(
-                sites.MIGRATION_ROUND, "dirty", Every(2),
-                param=1000.0, limit=4,
-            ),
-            FaultSpec(sites.MIGRATION_ROUND, "abort", Nth(5)),
-        ),
-        seed,
-    )
-
-
 def _run_migration_storm(ctx: ScenarioContext) -> dict:
     from repro.xen.hypervisor import XenHypervisor
     from repro.xen.migration import LiveMigration, MigrationSession
@@ -191,17 +170,6 @@ def _run_migration_storm(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _plan_nginx_loss(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(sites.NET_PACKET, "drop", Probability(0.05)),
-            FaultSpec(sites.NET_PACKET, "duplicate", Probability(0.01)),
-            FaultSpec(sites.NET_PACKET, "reorder", Probability(0.01)),
-        ),
-        seed,
-    )
-
-
 def _run_nginx_loss(ctx: ScenarioContext) -> dict:
     from repro.guest.netstack import NetDevice, NetStack
     from repro.workloads.profiles import NGINX
@@ -249,18 +217,6 @@ def _run_nginx_loss(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 # 4. Grant flaps during netfront reconnect, plus GNTTABOP_copy failures
 # ---------------------------------------------------------------------------
-
-
-def _plan_grant_flaps(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(sites.NET_BACKEND, "kill", Every(25), limit=4),
-            FaultSpec(sites.GRANT_MAP, "fail", Nth(2)),
-            FaultSpec(sites.GRANT_MAP, "fail", Nth(4)),
-            FaultSpec(sites.GRANT_COPY, "fail", Every(7)),
-        ),
-        seed,
-    )
 
 
 def _run_grant_flaps(ctx: ScenarioContext) -> dict:
@@ -327,13 +283,6 @@ def _run_grant_flaps(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _plan_spawn_timeouts(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (FaultSpec(sites.TOOLSTACK_SPAWN, "timeout", Every(4), limit=3),),
-        seed,
-    )
-
-
 def _run_spawn_timeouts(ctx: ScenarioContext) -> dict:
     from repro.xen.hypervisor import XenHypervisor
     from repro.xen.toolstack import Toolstack
@@ -367,18 +316,6 @@ def _run_spawn_timeouts(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 # 6. vCPU stalls and a preemption storm on the credit scheduler
 # ---------------------------------------------------------------------------
-
-
-def _plan_scheduler_storm(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(
-                sites.VCPU, "storm", Every(40), param=6.0, limit=4
-            ),
-            FaultSpec(sites.VCPU, "stall", Probability(0.1)),
-        ),
-        seed,
-    )
 
 
 def _run_scheduler_storm(ctx: ScenarioContext) -> dict:
@@ -417,16 +354,6 @@ def _run_scheduler_storm(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 # 7. ABOM cmpxchg contention (§4.4's race-retry arguments)
 # ---------------------------------------------------------------------------
-
-
-def _plan_abom_contention(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(1)),
-            FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(3)),
-        ),
-        seed,
-    )
 
 
 def _run_abom_contention(ctx: ScenarioContext) -> dict:
@@ -488,20 +415,6 @@ def _run_abom_contention(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 # 8. Event storm over blkfront: lost kicks, delays, blkback deaths
 # ---------------------------------------------------------------------------
-
-
-def _plan_event_storm(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(sites.EVENT_NOTIFY, "drop", Every(40)),
-            FaultSpec(
-                sites.EVENT_NOTIFY, "delay", Every(17), param=5000.0
-            ),
-            FaultSpec(sites.BLK_BACKEND, "kill", Every(13), limit=5),
-            FaultSpec(sites.BLK_BACKEND, "stall", Nth(7), param=4.0),
-        ),
-        seed,
-    )
 
 
 def _run_event_storm(ctx: ScenarioContext) -> dict:
@@ -567,16 +480,6 @@ def _run_event_storm(ctx: ScenarioContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _plan_wake_drop(seed: int | str) -> FaultPlan:
-    return FaultPlan(
-        (
-            FaultSpec(sites.SCHED_WAKE, "drop", Every(5), limit=4),
-            FaultSpec(sites.SCHED_WAKE, "delay", Nth(12), param=3e6),
-        ),
-        seed,
-    )
-
-
 def _run_wake_drop(ctx: ScenarioContext) -> dict:
     from repro.core.engine import ExecutionEngine
 
@@ -632,8 +535,14 @@ def _run_wake_drop(ctx: ScenarioContext) -> dict:
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _build_catalog() -> tuple[Scenario, ...]:
-    """The shipped scenarios, in catalog (registration) order."""
+@functools.cache
+def catalog() -> tuple[Scenario, ...]:
+    """The shipped scenarios, in report order.
+
+    Built once, on first use: the promoted entry imports
+    :mod:`repro.fuzz`, which a substrate importing
+    :mod:`repro.faults.sites` must not pay for.
+    """
     from repro.fuzz.steps import step
 
     return (
@@ -645,7 +554,13 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "committed output"
             ),
             substrates=("xen.drivers", "xen.grant_table", "xen.remus"),
-            default_plan=_plan_backend_death,
+            specs=(
+                FaultSpec(sites.NET_BACKEND, "kill", Every(120), limit=3),
+                FaultSpec(sites.NET_RING, "stall", Every(100), param=3.0),
+                FaultSpec(sites.GRANT_MAP, "fail", Nth(2), limit=1),
+                FaultSpec(sites.EVENT_NOTIFY, "drop", Probability(0.01)),
+                FaultSpec(sites.REMUS_ACK, "fail", Nth(8)),
+            ),
             body=_run_backend_death,
         ),
         Scenario(
@@ -656,7 +571,13 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "runnable"
             ),
             substrates=("xen.migration",),
-            default_plan=_plan_migration_storm,
+            specs=(
+                FaultSpec(
+                    sites.MIGRATION_ROUND, "dirty", Every(2),
+                    param=1000.0, limit=4,
+                ),
+                FaultSpec(sites.MIGRATION_ROUND, "abort", Nth(5)),
+            ),
             body=_run_migration_storm,
         ),
         Scenario(
@@ -666,7 +587,11 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "every request is served, nothing hangs"
             ),
             substrates=("guest.netstack",),
-            default_plan=_plan_nginx_loss,
+            specs=(
+                FaultSpec(sites.NET_PACKET, "drop", Probability(0.05)),
+                FaultSpec(sites.NET_PACKET, "duplicate", Probability(0.01)),
+                FaultSpec(sites.NET_PACKET, "reorder", Probability(0.01)),
+            ),
             body=_run_nginx_loss,
         ),
         Scenario(
@@ -676,7 +601,12 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "GNTTABOP_copy flakes, all absorbed by bounded retry"
             ),
             substrates=("xen.drivers", "xen.grant_table"),
-            default_plan=_plan_grant_flaps,
+            specs=(
+                FaultSpec(sites.NET_BACKEND, "kill", Every(25), limit=4),
+                FaultSpec(sites.GRANT_MAP, "fail", Nth(2)),
+                FaultSpec(sites.GRANT_MAP, "fail", Nth(4)),
+                FaultSpec(sites.GRANT_COPY, "fail", Every(7)),
+            ),
             body=_run_grant_flaps,
         ),
         Scenario(
@@ -686,7 +616,11 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "burst; every domain comes up, nothing leaks"
             ),
             substrates=("xen.toolstack",),
-            default_plan=_plan_spawn_timeouts,
+            specs=(
+                FaultSpec(
+                    sites.TOOLSTACK_SPAWN, "timeout", Every(4), limit=3
+                ),
+            ),
             body=_run_spawn_timeouts,
         ),
         Scenario(
@@ -696,7 +630,10 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "scheduler: no starvation, fairness within 20%"
             ),
             substrates=("xen.scheduler",),
-            default_plan=_plan_scheduler_storm,
+            specs=(
+                FaultSpec(sites.VCPU, "storm", Every(40), param=6.0, limit=4),
+                FaultSpec(sites.VCPU, "stall", Probability(0.1)),
+            ),
             body=_run_scheduler_storm,
         ),
         Scenario(
@@ -706,7 +643,10 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "phase-2 store; every site still ends up patched"
             ),
             substrates=("core.abom",),
-            default_plan=_plan_abom_contention,
+            specs=(
+                FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(1)),
+                FaultSpec(sites.ABOM_CMPXCHG, "contend", Nth(3)),
+            ),
             body=_run_abom_contention,
         ),
         Scenario(
@@ -717,7 +657,10 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "every lost wakeup, no unit strands"
             ),
             substrates=("core.engine",),
-            default_plan=_plan_wake_drop,
+            specs=(
+                FaultSpec(sites.SCHED_WAKE, "drop", Every(5), limit=4),
+                FaultSpec(sites.SCHED_WAKE, "delay", Nth(12), param=3e6),
+            ),
             body=_run_wake_drop,
         ),
         Scenario(
@@ -727,7 +670,14 @@ def _build_catalog() -> tuple[Scenario, ...]:
                 "under a write/read storm; no torn writes"
             ),
             substrates=("xen.events", "xen.blkdev"),
-            default_plan=_plan_event_storm,
+            specs=(
+                FaultSpec(sites.EVENT_NOTIFY, "drop", Every(40)),
+                FaultSpec(
+                    sites.EVENT_NOTIFY, "delay", Every(17), param=5000.0
+                ),
+                FaultSpec(sites.BLK_BACKEND, "kill", Every(13), limit=5),
+                FaultSpec(sites.BLK_BACKEND, "stall", Nth(7), param=4.0),
+            ),
             body=_run_event_storm,
         ),
         # Promoted from a shrunk repro.fuzz counterexample candidate: the
@@ -762,11 +712,15 @@ def _build_catalog() -> tuple[Scenario, ...]:
     )
 
 
-def _register_catalog() -> None:
-    from repro.faults.registry import register
-
-    for scenario in _build_catalog():
-        register(scenario)
+def scenario_names() -> list[str]:
+    """Catalog names in report order."""
+    return [scenario.name for scenario in catalog()]
 
 
-_register_catalog()
+def get_scenario(name: str) -> Scenario:
+    """Look up one scenario; unknown names list the catalog *sorted*."""
+    for scenario in catalog():
+        if scenario.name == name:
+            return scenario
+    known = ", ".join(sorted(scenario_names()))
+    raise KeyError(f"unknown scenario {name!r} (known: {known})")

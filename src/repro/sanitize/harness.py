@@ -28,7 +28,7 @@ def sanitize_chaos(
 ) -> list[SanitizeUnit]:
     """Run the chaos catalog under ``seed`` with all sanitizers attached."""
     from repro.faults.chaos import ChaosHarness
-    from repro.faults.registry import get_scenario, scenario_names
+    from repro.faults.scenarios import get_scenario, scenario_names
 
     harness = ChaosHarness(seed)
     selected = names if names is not None else scenario_names()

@@ -33,7 +33,6 @@ from repro.xen.migration import (
     checkpoint_memory,
     restore_memory,
 )
-from repro.xen.memory_mgmt import BalloonDriver, BalloonError
 from repro.xen.xenstore import XenStore, XsTransaction
 from repro.xen.blkdev import (
     BlockStats,
@@ -62,8 +61,6 @@ __all__ = [
     "MigrationReport",
     "checkpoint_memory",
     "restore_memory",
-    "BalloonDriver",
-    "BalloonError",
     "XenStore",
     "XsTransaction",
     "BlockStats",

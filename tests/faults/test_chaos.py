@@ -8,7 +8,7 @@ byte-identical for the same seed + plan.
 
 import pytest
 
-from repro.faults import registry, sites
+from repro.faults import scenarios, sites
 from repro.faults.chaos import (
     ChaosHarness,
     InvariantViolation,
@@ -27,7 +27,7 @@ class TestHarness:
             name="t",
             description="",
             substrates=(),
-            default_plan=lambda seed: FaultPlan((), seed),
+            specs=(),
             body=body,
         )
 
@@ -106,7 +106,7 @@ class TestCatalog:
     def test_declared_substrates_are_injected(self):
         report = run_scenarios(42)
         by_name = {r.name: r for r in report.results}
-        for scenario in registry.list_scenarios():
+        for scenario in scenarios.catalog():
             result = by_name[scenario.name]
             missing = set(scenario.substrates) - set(
                 result.injected_substrates
@@ -123,7 +123,7 @@ class TestCatalog:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):
-            registry.get_scenario("no-such-scenario")
+            scenarios.get_scenario("no-such-scenario")
 
     def test_single_scenario_selection(self):
         report = run_scenarios(3, names=["nginx-packet-loss"])
@@ -136,7 +136,7 @@ class TestRender:
         text = run_scenarios(42).render()
         assert "ALL RECOVERED" in text
         assert "core substrate coverage: complete" in text
-        for name in registry.scenario_names():
+        for name in scenarios.scenario_names():
             assert name in text
 
     def test_render_flags_failures(self):
@@ -144,7 +144,7 @@ class TestRender:
             name="doomed",
             description="",
             substrates=(),
-            default_plan=lambda seed: FaultPlan((), seed),
+            specs=(),
             body=lambda ctx: ctx.check(False, "nope"),
         )
         result = ChaosHarness(1).run(failing)

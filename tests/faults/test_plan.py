@@ -152,7 +152,7 @@ class TestEngine:
             FaultSpec(sites.EVENT_NOTIFY, "drop", Probability(0.5)),
             seed=1,
         )
-        other = base.reseeded(2)
+        other = FaultPlan(base.specs, 2)
         assert other.specs == base.specs and other.seed == 2
 
     def test_fault_events_reach_tracer(self):

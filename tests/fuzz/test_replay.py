@@ -7,7 +7,7 @@ promoted scenarios use, and the shipped promoted catalog entry.
 import pytest
 
 from repro.faults.chaos import ChaosHarness, Scenario
-from repro.faults.registry import get_scenario
+from repro.faults.scenarios import get_scenario
 from repro.fuzz.replay import replay_steps, run_steps_in_context
 from repro.fuzz.steps import step
 from repro.fuzz.world import INVARIANTS
@@ -86,7 +86,7 @@ class TestFromStepsPromotion:
                 name="ctx-probe",
                 description="",
                 substrates=(),
-                default_plan=scenario.default_plan,
+                specs=scenario.specs,
                 body=body,
             )
         )

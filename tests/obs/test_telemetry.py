@@ -40,11 +40,6 @@ class TestContainerTelemetry:
             stats.invalidations
         )
 
-    def test_telemetry_disabled_raises(self):
-        xc = XContainer(CountingServices(), telemetry=False)
-        with pytest.raises(RuntimeError, match="telemetry disabled"):
-            xc.telemetry()
-
     def test_ring_metrics_match_every_driver_field(self):
         xc = XContainer(CountingServices())
         net = make_net_driver()

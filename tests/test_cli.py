@@ -60,8 +60,15 @@ class TestCli:
         assert "Section 4.5" in out
 
     def test_unknown_experiment_errors(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit, match="unknown experiment 'fig99'"):
             main(["experiments", "fig99"])
+
+    def test_unknown_experiment_error_lists_ids_sorted(self):
+        with pytest.raises(SystemExit) as caught:
+            main(["experiments", "nonesuch"])
+        listed = str(caught.value).split("(known: ")[1].rstrip(")")
+        assert listed.split(", ") == sorted(listed.split(", "))
+        assert "table1" in listed.split(", ")
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
